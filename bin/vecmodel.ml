@@ -139,9 +139,8 @@ let backend_arg =
     & opt (some backend_conv) None
     & info [ "backend" ] ~docv:"B"
         ~doc:
-          "Execution engine for kernel runs: interp (tree-walking reference), \
-           flat (bytecode) or closure (compiled, default).  Overrides \
-           $(b,VECMODEL_BACKEND).")
+          "Execution engine for kernel runs: interp (tree-walking reference) \
+           or closure (compiled, default).  Overrides $(b,VECMODEL_BACKEND).")
 
 let apply_backend = function
   | None -> ()
@@ -1109,21 +1108,6 @@ let cachestats_cmd =
 
 (* --- health ----------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* The serving tier in [health]: offline from the serving journal (last
    checkpointed counters, reload count, last-reload model checksum), or
    live from a running daemon's [health] op (queue bound, breaker states,
@@ -1133,7 +1117,9 @@ let serve_health_offline path json =
   let j = Checkpoint.Journal.load path in
   match Checkpoint.Journal.find j "serve-stats" with
   | None ->
-      if json then Printf.printf "{\"serving\": {\"journal\": \"%s\", \"present\": false}}\n" (json_escape path)
+      if json then
+        Printf.printf "{\"serving\": {\"journal\": \"%s\", \"present\": false}}\n"
+          (Vanalysis.Diag.json_escape path)
       else Printf.printf "serving: no checkpoint in journal %s\n" path
   | Some payload -> (
       match Vserve.Jsonv.parse payload with
@@ -1143,7 +1129,7 @@ let serve_health_offline path json =
       | Ok v ->
           if json then
             Printf.printf "{\"serving\": {\"journal\": \"%s\", \"present\": true, \"checkpoint\": %s}}\n"
-              (json_escape path) (Vserve.Jsonv.to_string v)
+              (Vanalysis.Diag.json_escape path) (Vserve.Jsonv.to_string v)
           else begin
             let geti k = Option.value ~default:0 (Vserve.Jsonv.mem_int k v) in
             let gets k = Option.value ~default:"-" (Vserve.Jsonv.mem_str k v) in
@@ -1296,7 +1282,7 @@ let health_cmd =
       Buffer.add_string b "{\n";
       Buffer.add_string b
         (Printf.sprintf "  \"plan\": \"%s\",\n"
-           (json_escape (Vfault.Plan.to_string plan)));
+           (Vanalysis.Diag.json_escape (Vfault.Plan.to_string plan)));
       Buffer.add_string b
         (Printf.sprintf "  \"samples\": %d,\n" (List.length samples));
       Buffer.add_string b
@@ -1307,8 +1293,10 @@ let health_cmd =
                    Printf.sprintf
                      "{\"kernel\": \"%s\", \"machine\": \"%s\", \
                       \"transform\": \"%s\", \"reason\": \"%s\"}"
-                     (json_escape q.q_name) (json_escape q.q_machine)
-                     (json_escape q.q_transform) (json_escape q.q_reason))
+                     (Vanalysis.Diag.json_escape q.q_name)
+                     (Vanalysis.Diag.json_escape q.q_machine)
+                     (Vanalysis.Diag.json_escape q.q_transform)
+                     (Vanalysis.Diag.json_escape q.q_reason))
                  h.h_quarantined)));
       Buffer.add_string b
         (Printf.sprintf "  \"cache_corruptions\": %d,\n" h.h_cache_corruptions);
@@ -1324,7 +1312,8 @@ let health_cmd =
         (Printf.sprintf "  \"injected\": {%s},\n"
            (String.concat ", "
               (List.map
-                 (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
+                 (fun (k, v) ->
+                   Printf.sprintf "\"%s\": %d" (Vanalysis.Diag.json_escape k) v)
                  injected)));
       Buffer.add_string b
         (Printf.sprintf
@@ -1414,8 +1403,8 @@ let faults_cmd =
       Printf.printf
         "{\n  \"source\": \"%s\",\n  \"spec\": \"%s\",\n  \"seed\": %d,\n  \
          \"clauses\": [%s]\n}\n"
-        (json_escape source)
-        (json_escape (Vfault.Plan.to_string plan))
+        (Vanalysis.Diag.json_escape source)
+        (Vanalysis.Diag.json_escape (Vfault.Plan.to_string plan))
         plan.Vfault.Plan.seed
         (String.concat ", " (List.map clause plan.Vfault.Plan.clauses))
     end

@@ -491,13 +491,11 @@ let print_summary (s : summary) =
     Printf.printf "  widened stores: %s\n"
       (String.concat ", " (List.map (Printf.sprintf "@%d") s.s_widened))
 
-let json_escape = Diag.json_escape
-
 let summary_to_json (s : summary) =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "{\"kernel\": \"%s\", \"n\": %d, \"vf\": %s, "
-       (json_escape s.s_kernel.name)
+       (Diag.json_escape s.s_kernel.name)
        s.s_n
        (match s.s_vf with Some v -> string_of_int v | None -> "null"));
   Buffer.add_string b
@@ -507,7 +505,7 @@ let summary_to_json (s : summary) =
     (fun i (var, tc) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
-        (Printf.sprintf "\"%s\": \"%s\"" (json_escape var)
+        (Printf.sprintf "\"%s\": \"%s\"" (Diag.json_escape var)
            (trip_count_to_string tc)))
     s.s_trips;
   Buffer.add_string b "}, \"registers\": [";
@@ -526,7 +524,7 @@ let summary_to_json (s : summary) =
         (Printf.sprintf
            "{\"pos\": %d, \"array\": \"%s\", \"kind\": \"%s\", \"class\": \
             \"%s\", \"congruence\": \"%s\", \"range\": \"%s\"}"
-           a.ai_pos (json_escape a.ai_arr)
+           a.ai_pos (Diag.json_escape a.ai_arr)
            (if a.ai_store then "store" else "load")
            (access_class_to_string a.ai_class)
            (Congr.to_string a.ai_congr)

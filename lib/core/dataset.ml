@@ -164,15 +164,6 @@ type build_outcome =
   | Not_vectorizable
   | Quarantined of string
 
-(* When enabled, scalar executions run under the kernel's static safety
-   certificate: guard-free kernels skip the per-bind interval derivation
-   and run the unchecked body directly (with the bind-time check demoted
-   to a licensing cross-check).  Results are digest-identical either way —
-   the exec equivalence tests assert it — so this is purely an execution
-   strategy, off by default. *)
-let static_licensing = Atomic.make false
-let set_static_licensing b = Atomic.set static_licensing b
-
 let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
     ~transform ~n (e : Tsvc.Registry.entry) =
   let k = e.kernel in
@@ -185,17 +176,17 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
         match robust_speedup ~noise_amp ~seed ~repeats ~machine ~n vk with
         | Error reason -> Quarantined reason
         | Ok m ->
-            (* Actually execute the scalar kernel on the selected backend;
-               the repeats reuse one environment via [Env.reset] and the
+            (* Actually execute the scalar kernel on the selected backend,
+               under its static safety certificate: on the closure tier a
+               guard-free kernel runs the unchecked body, with the
+               bind-time bounds proof as a hard-failing cross-check.  The
+               repeats reuse one environment via [Env.reset] and the
                digest is checked for stability across them. *)
-            let cert_summary = Vanalysis.Cert.certify ~vf k in
+            let license =
+              Vanalysis.Cert.license (Vanalysis.Cert.certify ~vf k)
+            in
             let ex =
-              let license =
-                if Atomic.get static_licensing then
-                  Some (Vanalysis.Cert.license cert_summary)
-                else None
-              in
-              Vmachine.Measure.execute ?license ~backend ~seed ~repeats ~n k
+              Vmachine.Measure.execute ~license ~backend ~seed ~repeats ~n k
             in
             let sest = Vmachine.Sched.scalar_estimate machine ~n k in
             let vest = Vmachine.Sched.vector_estimate machine ~n vk in

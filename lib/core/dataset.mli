@@ -56,21 +56,15 @@ val apply_transform :
     exceeds it.
 
     [?backend] (default {!Vexec.Backend.default}) selects the execution
-    engine that actually runs each kernel; the backend id is folded into
-    the cache key, so switching backends never serves samples another
-    backend built. *)
+    engine that actually runs each kernel, always under the kernel's
+    static safety certificate ({!Vanalysis.Cert.license}); the backend id
+    is folded into the cache key, so switching backends never serves
+    samples another backend built. *)
 val build :
   ?noise_amp:float -> ?seed:int -> ?repeats:int ->
   ?backend:Vexec.Backend.t -> ?pool:Vpar.Pool.t -> ?timeout_s:float ->
   machine:Vmachine.Descr.t -> transform:transform -> n:int ->
   Tsvc.Registry.entry list -> sample list
-
-(** When enabled, {!build} hands each kernel's static safety certificate
-    ({!Vanalysis.Cert.license}) to the execution backend, so certified
-    kernels take the guard-free closure path licensed once per kernel
-    instead of re-deriving safety intervals per bind.  Off by default;
-    the bench harness toggles it to time static vs bind-time licensing. *)
-val set_static_licensing : bool -> unit
 
 (** {2 Health ledger} *)
 

@@ -1,29 +1,25 @@
 (* Execution-backend selection and a uniform run interface.
 
-   Three tiers share one reference semantics:
+   Two tiers share one reference semantics:
 
      - [Interp]: the tree-walking [Vinterp.Interp] — slowest, but carries
        the [?observe] hook and access tracing, so it stays the oracle;
-     - [Flat]: bytecode dispatch over a [Program.t] ([Flat.exec_body]);
-     - [Closure]: the bytecode compiled to OCaml closures.
+     - [Closure]: the lowered [Program.t] compiled to OCaml closures over a
+       [Flat.state] arena — the one compiled execution path.
 
    Selection order for the process default: [set_default] (CLI [--backend])
    beats the [VECMODEL_BACKEND] environment variable beats [Closure]. *)
 
 module Env = Vinterp.Env
 
-type t = Interp | Flat | Closure
+type t = Interp | Closure
 
-let all = [ Interp; Flat; Closure ]
+let all = [ Interp; Closure ]
 
-let to_string = function
-  | Interp -> "interp"
-  | Flat -> "flat"
-  | Closure -> "closure"
+let to_string = function Interp -> "interp" | Closure -> "closure"
 
 let of_string = function
   | "interp" -> Some Interp
-  | "flat" -> Some Flat
   | "closure" -> Some Closure
   | _ -> None
 
@@ -46,7 +42,7 @@ let default () =
                 warned := true;
                 Printf.eprintf
                   "vecmodel: ignoring invalid VECMODEL_BACKEND=%s (expected \
-                   interp|flat|closure)\n%!"
+                   interp|closure)\n%!"
                   s
               end;
               Closure))
@@ -55,33 +51,27 @@ let default () =
    tier) compilation happen once here, then [run_in] only rebinds. *)
 type prepared =
   | P_interp of Vir.Kernel.t
-  | P_flat of Flat.state
   | P_closure of Flat.state * Closure.t * License.t option
 
 (* A static license only changes behaviour on the closure tier (the one
-   with an unchecked body to license); the other tiers always run fully
-   guarded and ignore it. *)
+   with an unchecked body to license); the interpreter always runs fully
+   guarded and ignores it. *)
 let prepare ?license backend k =
   match backend with
   | Interp -> P_interp k
-  | Flat -> P_flat (Flat.create (Program.lower k))
   | Closure ->
       let st = Flat.create (Program.lower k) in
       P_closure (st, Closure.compile st, license)
 
-let backend_of = function
-  | P_interp _ -> Interp
-  | P_flat _ -> Flat
-  | P_closure _ -> Closure
+let backend_of = function P_interp _ -> Interp | P_closure _ -> Closure
 
 let kernel_of = function
   | P_interp k -> k
-  | P_flat st | P_closure (st, _, _) -> st.Flat.prog.Program.kernel
+  | P_closure (st, _, _) -> st.Flat.prog.Program.kernel
 
 let run_in prepared env =
   match prepared with
   | P_interp k -> Vinterp.Interp.run_in env k
-  | P_flat st -> Flat.run_in st env
   | P_closure (st, c, license) -> Closure.run_in ?license st c env
 
 let run ?seed ~n backend k =

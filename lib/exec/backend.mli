@@ -1,9 +1,9 @@
-(* Execution-backend selection and a uniform run interface over the three
-   tiers: reference interpreter, flat bytecode dispatch, and
-   closure-compiled.  All three produce bit-identical results (the exec
-   test suite enforces it); they differ only in speed and hooks. *)
+(* Execution-backend selection and a uniform run interface over the two
+   tiers: the reference interpreter and the closure-compiled path.  Both
+   produce bit-identical results (the exec test suite enforces it); they
+   differ only in speed and hooks. *)
 
-type t = Interp | Flat | Closure
+type t = Interp | Closure
 
 val all : t list
 val to_string : t -> string
@@ -25,7 +25,7 @@ type prepared
 val prepare : ?license:License.t -> t -> Vir.Kernel.t -> prepared
 (** [license] is a static safety certificate for the kernel; only the
     closure tier consults it (see {!Closure.run_bound}), the fully guarded
-    tiers ignore it. *)
+    interpreter ignores it. *)
 
 val backend_of : prepared -> t
 val kernel_of : prepared -> Vir.Kernel.t
@@ -38,5 +38,6 @@ val run : ?seed:int -> n:int -> t -> Vir.Kernel.t -> Vinterp.Interp.result
 (** Fresh environment, prepare, run — drop-in for [Vinterp.Interp.run]. *)
 
 val digest : Vinterp.Env.t -> (string * float) list -> string
-(** FNV-1a fingerprint of the final memory image plus reduction values;
+(** Splitmix-style fingerprint of the final memory image plus reduction
+    values (arrays over 4096 elements are sampled on an even stride);
     deterministic across backends and worker counts. *)

@@ -9,9 +9,10 @@
    time, so a program is compiled exactly once and the same compiled nest
    serves every subsequent [Flat.bind].
 
-   Semantics is identical to [Flat.exec_body] (and hence to
-   [Vinterp.Interp]); the equivalence suite runs all three on the same
-   kernels and compares snapshots, reductions and traps. *)
+   Semantics is identical to [Vinterp.Interp]; the equivalence suite runs
+   both on the same kernels and compares snapshots, reductions and traps.
+   Opcode literals below must stay in sync with the [Program.op_*]
+   constants; [test_exec] asserts the correspondence. *)
 
 open Vir
 module Env = Vinterp.Env
@@ -83,7 +84,7 @@ let seq fs =
           (Array.unsafe_get fs k) ()
         done
 
-let compile_body ?(check = true) (st : Flat.state) =
+let compile_body ~check (st : Flat.state) =
   let prog = st.prog in
   let f = st.fregs and i = st.iregs in
   let ivs = st.ivs in

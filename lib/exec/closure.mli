@@ -26,15 +26,10 @@ val run_bound :
     covers the program with [Safe] affine verdicts the unchecked body runs
     unconditionally, with [affine_safe] as a mandatory per-bind cross-check:
     a refuted license raises [Invalid_argument] (hard failure) instead of
-    running unguarded.  Without a covering license the per-bind
-    [affine_safe] selection applies as before. *)
+    running unguarded.  Without a covering license the unchecked body runs
+    only on binds where [affine_safe] holds. *)
 
 val run_in :
   ?license:License.t -> Flat.state -> t -> Vinterp.Env.t ->
   (string * float) list
 (** [Flat.bind] then [run_bound]. *)
-
-val compile_body : ?check:bool -> Flat.state -> unit -> unit
-(** Body-only compilation (one innermost iteration including reduction
-    folds), exposed for tests.  [check] (default true) selects the
-    bounds-guarded variant. *)

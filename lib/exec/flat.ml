@@ -1,5 +1,6 @@
-(* Bytecode dispatch tier: executes a lowered [Program.t] against an
-   [Env.t] with no per-iteration allocation.
+(* The state arena a lowered [Program.t] runs over: unboxed register
+   files, loop bounds, reduction accumulators and per-access index
+   constants, with no per-iteration allocation.
 
    A [state] is allocated once per program and *re-bound* to successive
    environments in place: [bind] refills loop bounds, array references,
@@ -112,230 +113,3 @@ let bind st (env : Env.t) =
           a.acc_terms
       end)
     prog.accesses
-
-(* Element index of access [a] for the current loop-variable values. *)
-let addr_of st a =
-  let acc = st.prog.accesses.(a) in
-  if acc.acc_ind >= 0 then Array.unsafe_get st.iregs acc.acc_ind
-  else begin
-    let coeff = Array.unsafe_get st.acc_coeff a in
-    let depth = Array.unsafe_get st.acc_depth a in
-    let s = ref (Array.unsafe_get st.acc_const a) in
-    for j = 0 to Array.length coeff - 1 do
-      s :=
-        !s
-        + (Array.unsafe_get coeff j
-          * Array.unsafe_get st.ivs (Array.unsafe_get depth j))
-    done;
-    !s
-  end
-
-let[@inline] check st a idx =
-  let acc = Array.unsafe_get st.prog.accesses a in
-  if idx < 0 || idx >= Array.unsafe_get st.arr_len acc.acc_arr then
-    raise (Env.Out_of_bounds (acc.acc_name, idx))
-
-(* One pass over the body.  Opcode literals here must stay in sync with the
-   [Program.op_*] constants; [test_exec] asserts the correspondence. *)
-let exec_body st =
-  let code = st.prog.code in
-  let len = Array.length code in
-  let f = st.fregs and i = st.iregs in
-  let traps = st.prog.traps in
-  let pc = ref 0 in
-  while !pc < len do
-    let base = !pc in
-    let op = Array.unsafe_get code base in
-    let d = Array.unsafe_get code (base + 1) in
-    let a = Array.unsafe_get code (base + 2) in
-    let b = Array.unsafe_get code (base + 3) in
-    let c = Array.unsafe_get code (base + 4) in
-    (match op with
-    | 0 (* fadd *) ->
-        Array.unsafe_set f d (Array.unsafe_get f a +. Array.unsafe_get f b)
-    | 1 (* fsub *) ->
-        Array.unsafe_set f d (Array.unsafe_get f a -. Array.unsafe_get f b)
-    | 2 (* fmul *) ->
-        Array.unsafe_set f d (Array.unsafe_get f a *. Array.unsafe_get f b)
-    | 3 (* fdiv *) ->
-        Array.unsafe_set f d (Array.unsafe_get f a /. Array.unsafe_get f b)
-    | 4 (* fmin *) ->
-        Array.unsafe_set f d (Float.min (Array.unsafe_get f a) (Array.unsafe_get f b))
-    | 5 (* fmax *) ->
-        Array.unsafe_set f d (Float.max (Array.unsafe_get f a) (Array.unsafe_get f b))
-    | 6 (* fneg *) -> Array.unsafe_set f d (-.Array.unsafe_get f a)
-    | 7 (* fabs *) -> Array.unsafe_set f d (abs_float (Array.unsafe_get f a))
-    | 8 (* fsqrt *) -> Array.unsafe_set f d (sqrt (Array.unsafe_get f a))
-    | 9 (* fma: a*b + c, unfused like the interpreter *) ->
-        Array.unsafe_set f d
-          ((Array.unsafe_get f a *. Array.unsafe_get f b) +. Array.unsafe_get f c)
-    | 10 (* fceq *) ->
-        Array.unsafe_set i d
-          (if Array.unsafe_get f a = Array.unsafe_get f b then 1 else 0)
-    | 11 (* fcne *) ->
-        Array.unsafe_set i d
-          (if Array.unsafe_get f a <> Array.unsafe_get f b then 1 else 0)
-    | 12 (* fclt *) ->
-        Array.unsafe_set i d
-          (if Array.unsafe_get f a < Array.unsafe_get f b then 1 else 0)
-    | 13 (* fcle *) ->
-        Array.unsafe_set i d
-          (if Array.unsafe_get f a <= Array.unsafe_get f b then 1 else 0)
-    | 14 (* fcgt *) ->
-        Array.unsafe_set i d
-          (if Array.unsafe_get f a > Array.unsafe_get f b then 1 else 0)
-    | 15 (* fcge *) ->
-        Array.unsafe_set i d
-          (if Array.unsafe_get f a >= Array.unsafe_get f b then 1 else 0)
-    | 16 (* fsel *) ->
-        Array.unsafe_set f d
-          (if Array.unsafe_get i c <> 0 then Array.unsafe_get f a
-           else Array.unsafe_get f b)
-    | 17 (* isel *) ->
-        Array.unsafe_set i d
-          (if Array.unsafe_get i c <> 0 then Array.unsafe_get i a
-           else Array.unsafe_get i b)
-    | 18 (* fsel_t: true arm traps *) ->
-        if Array.unsafe_get i c <> 0 then invalid_arg (Array.unsafe_get traps b)
-        else Array.unsafe_set f d (Array.unsafe_get f a)
-    | 19 (* fsel_f: false arm traps *) ->
-        if Array.unsafe_get i c = 0 then invalid_arg (Array.unsafe_get traps b)
-        else Array.unsafe_set f d (Array.unsafe_get f a)
-    | 20 (* isel_t *) ->
-        if Array.unsafe_get i c <> 0 then invalid_arg (Array.unsafe_get traps b)
-        else Array.unsafe_set i d (Array.unsafe_get i a)
-    | 21 (* isel_f *) ->
-        if Array.unsafe_get i c = 0 then invalid_arg (Array.unsafe_get traps b)
-        else Array.unsafe_set i d (Array.unsafe_get i a)
-    | 22 (* f_of_i *) -> Array.unsafe_set f d (float_of_int (Array.unsafe_get i a))
-    | 23 (* i_of_f *) -> Array.unsafe_set i d (int_of_float (Array.unsafe_get f a))
-    | 24 (* fmov *) -> Array.unsafe_set f d (Array.unsafe_get f a)
-    | 25 (* imov *) -> Array.unsafe_set i d (Array.unsafe_get i a)
-    | 26 (* iadd *) ->
-        Array.unsafe_set i d (Array.unsafe_get i a + Array.unsafe_get i b)
-    | 27 (* isub *) ->
-        Array.unsafe_set i d (Array.unsafe_get i a - Array.unsafe_get i b)
-    | 28 (* imul *) ->
-        Array.unsafe_set i d (Array.unsafe_get i a * Array.unsafe_get i b)
-    | 29 (* idiv *) ->
-        let bv = Array.unsafe_get i b in
-        if bv = 0 then invalid_arg "Interp: division by zero"
-        else Array.unsafe_set i d (Array.unsafe_get i a / bv)
-    | 30 (* irem *) ->
-        let bv = Array.unsafe_get i b in
-        if bv = 0 then invalid_arg "Interp: rem by zero"
-        else Array.unsafe_set i d (Array.unsafe_get i a mod bv)
-    | 31 (* imin *) ->
-        Array.unsafe_set i d (min (Array.unsafe_get i a) (Array.unsafe_get i b))
-    | 32 (* imax *) ->
-        Array.unsafe_set i d (max (Array.unsafe_get i a) (Array.unsafe_get i b))
-    | 33 (* iand *) ->
-        Array.unsafe_set i d (Array.unsafe_get i a land Array.unsafe_get i b)
-    | 34 (* ior *) ->
-        Array.unsafe_set i d (Array.unsafe_get i a lor Array.unsafe_get i b)
-    | 35 (* ixor *) ->
-        Array.unsafe_set i d (Array.unsafe_get i a lxor Array.unsafe_get i b)
-    | 36 (* ishl *) ->
-        Array.unsafe_set i d
-          (Array.unsafe_get i a lsl (Array.unsafe_get i b land 63))
-    | 37 (* ishr *) ->
-        Array.unsafe_set i d
-          (Array.unsafe_get i a asr (Array.unsafe_get i b land 63))
-    | 38 (* ineg *) -> Array.unsafe_set i d (-Array.unsafe_get i a)
-    | 39 (* iabs *) -> Array.unsafe_set i d (abs (Array.unsafe_get i a))
-    | 40 (* inot *) -> Array.unsafe_set i d (lnot (Array.unsafe_get i a))
-    | 41 (* ld_ff *) ->
-        let idx = addr_of st a in
-        check st a idx;
-        let arr = Array.unsafe_get st.arr_f st.prog.accesses.(a).acc_arr in
-        Array.unsafe_set f d (Array.unsafe_get arr idx)
-    | 42 (* ld_fi *) ->
-        let idx = addr_of st a in
-        check st a idx;
-        let arr = Array.unsafe_get st.arr_i st.prog.accesses.(a).acc_arr in
-        Array.unsafe_set f d (float_of_int (Array.unsafe_get arr idx))
-    | 43 (* ld_if *) ->
-        let idx = addr_of st a in
-        check st a idx;
-        let arr = Array.unsafe_get st.arr_f st.prog.accesses.(a).acc_arr in
-        Array.unsafe_set i d (int_of_float (Array.unsafe_get arr idx))
-    | 44 (* ld_ii *) ->
-        let idx = addr_of st a in
-        check st a idx;
-        let arr = Array.unsafe_get st.arr_i st.prog.accesses.(a).acc_arr in
-        Array.unsafe_set i d (Array.unsafe_get arr idx)
-    | 45 (* st_ff *) ->
-        let idx = addr_of st a in
-        check st a idx;
-        let arr = Array.unsafe_get st.arr_f st.prog.accesses.(a).acc_arr in
-        Array.unsafe_set arr idx (Array.unsafe_get f b)
-    | 46 (* st_fi: float value into int storage *) ->
-        let idx = addr_of st a in
-        check st a idx;
-        let arr = Array.unsafe_get st.arr_i st.prog.accesses.(a).acc_arr in
-        Array.unsafe_set arr idx (int_of_float (Array.unsafe_get f b))
-    | 47 (* st_if: int value into float storage *) ->
-        let idx = addr_of st a in
-        check st a idx;
-        let arr = Array.unsafe_get st.arr_f st.prog.accesses.(a).acc_arr in
-        Array.unsafe_set arr idx (float_of_int (Array.unsafe_get i b))
-    | 48 (* st_ii *) ->
-        let idx = addr_of st a in
-        check st a idx;
-        let arr = Array.unsafe_get st.arr_i st.prog.accesses.(a).acc_arr in
-        Array.unsafe_set arr idx (Array.unsafe_get i b)
-    | 49 (* trap *) -> invalid_arg (Array.unsafe_get traps a)
-    | _ -> invalid_arg "Vexec.Flat: corrupt opcode");
-    pc := base + Program.stride
-  done
-
-let combine (op : Op.redop) acc v =
-  match op with
-  | Op.Rsum -> acc +. v
-  | Op.Rprod -> acc *. v
-  | Op.Rmin -> Float.min acc v
-  | Op.Rmax -> Float.max acc v
-
-let exec_reds st =
-  let reds = st.prog.reds in
-  for j = 0 to Array.length reds - 1 do
-    let r = Array.unsafe_get reds j in
-    st.accs.(j) <- combine r.rd_op st.accs.(j) (Array.unsafe_get st.fregs r.rd_slot)
-  done
-
-(* Drive the nest over an already-bound state. *)
-let run_bound st =
-  let prog = st.prog in
-  let reds = prog.reds in
-  for j = 0 to Array.length reds - 1 do
-    st.accs.(j) <- reds.(j).rd_init
-  done;
-  let nloops = Array.length prog.loops in
-  let rec drive depth =
-    if depth = nloops then begin
-      exec_body st;
-      exec_reds st
-    end
-    else begin
-      let l = Array.unsafe_get prog.loops depth in
-      let bound = Array.unsafe_get st.bounds depth in
-      let step = l.l_step in
-      let islot = l.l_islot and fslot = l.l_fslot in
-      let v = ref l.l_start in
-      while !v < bound do
-        let cur = !v in
-        Array.unsafe_set st.ivs depth cur;
-        if islot >= 0 then Array.unsafe_set st.iregs islot cur;
-        if fslot >= 0 then Array.unsafe_set st.fregs fslot (float_of_int cur);
-        drive (depth + 1);
-        v := cur + step
-      done
-    end
-  in
-  drive 0;
-  Array.to_list
-    (Array.mapi (fun j (r : Program.red) -> (r.rd_name, st.accs.(j))) prog.reds)
-
-let run_in st env =
-  bind st env;
-  run_bound st

@@ -1,7 +1,5 @@
-(* Bytecode dispatch tier.
-
-   A [state] is the arena for one lowered program: unboxed register files,
-   loop bounds, reduction accumulators, and per-access index constants and
+(* The state arena for one lowered program: unboxed register files, loop
+   bounds, reduction accumulators, and per-access index constants and
    coefficients.  [bind] refills it in place for a new environment — no
    array is ever reallocated, so closures compiled over the state (see
    [Closure]) stay valid across rebinds. *)
@@ -28,16 +26,3 @@ val bind : state -> Vinterp.Env.t -> unit
     literal/parameter slots and affine access constants are recomputed in
     place.  Raises [Invalid_argument] if the environment's storage kinds
     disagree with the program (it was built from a different kernel). *)
-
-val run_bound : state -> (string * float) list
-(** Execute the nest over the currently bound environment; returns final
-    reduction values.  Traps exactly like [Vinterp.Interp]. *)
-
-val run_in : state -> Vinterp.Env.t -> (string * float) list
-(** [bind] then [run_bound]. *)
-
-val exec_body : state -> unit
-(** One pass over the body bytecode at the current loop-variable values
-    (exposed for the closure tier's spot checks and the tests). *)
-
-val combine : Vir.Op.redop -> float -> float -> float

@@ -22,8 +22,8 @@
    The semantics is exactly [Vinterp.Interp]: same operator definitions,
    same trapping behaviour (encoded as [TRAP] instructions at the
    positions where the interpreter would raise), same out-of-bounds
-   exception.  The equivalence suite in test/test_exec.ml holds the two
-   (plus the closure tier) to bit-identical results. *)
+   exception.  The equivalence suite in test/test_exec.ml holds the
+   closure tier compiled from it to bit-identical results. *)
 
 open Vir
 
@@ -32,7 +32,7 @@ open Vir
    The code array is a sequence of fixed-width records: 5 ints per
    instruction — opcode, destination, and up to three sources.  Loads and
    stores put an access-descriptor id in the [a] slot.  Opcode values are
-   dense so the dispatch match compiles to a jump table. *)
+   dense so the closure compiler's match compiles to a jump table. *)
 
 let stride = 5
 

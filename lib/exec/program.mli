@@ -5,9 +5,9 @@
    parameters into preloaded slots, assigns loop variables mirror slots, and
    reduces every affine memory access to a descriptor whose index function is
    a bind-time constant plus per-loop-depth element coefficients.  The
-   resulting program executes under [Flat] (bytecode dispatch) or [Closure]
-   (compiled to OCaml closures) with semantics bit-identical to
-   [Vinterp.Interp], traps included. *)
+   resulting program is compiled to OCaml closures by [Closure], over the
+   state arena of [Flat], with semantics bit-identical to [Vinterp.Interp],
+   traps included. *)
 
 (* Instruction encoding: [stride] ints per instruction — opcode, destination
    slot, then up to three sources (loads/stores carry an access id). *)

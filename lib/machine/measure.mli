@@ -23,7 +23,7 @@ val measure :
 
 type execution = {
   exec_backend : Vexec.Backend.t;
-  exec_digest : string;  (** FNV fingerprint; ["trap:..."] if the run trapped *)
+  exec_digest : string;  (** {!Vexec.Backend.digest}; ["trap:..."] if the run trapped *)
   exec_reductions : (string * float) list;
 }
 

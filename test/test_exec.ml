@@ -1,11 +1,11 @@
-(* Three-backend equivalence for the execution engine (lib/exec).
+(* Interp-vs-closure equivalence for the execution engine (lib/exec).
 
-   The flat bytecode tier and the closure tier must reproduce the
-   reference interpreter bit-for-bit — final memory image, reduction
-   values, execution digest, and trap behaviour — on the full TSVC
-   registry (plus normalized and unrolled variants) and on 550 generated
-   kernels per run.  Seeded mis-lowerings (corrupted access stride, wrong
-   reduction init) must be caught by the same comparison, and samples
+   The closure tier must reproduce the reference interpreter bit-for-bit
+   — final memory image, reduction values, execution digest, and trap
+   behaviour — on the full TSVC registry (plus normalized and unrolled
+   variants) and on 550 generated kernels per run.  Seeded mis-lowerings
+   (corrupted access stride, wrong reduction init) run through the same
+   closure compiler must be caught by the same comparison, and samples
    built through [Dataset] must be deterministic in backend, digest and
    worker count. *)
 
@@ -77,22 +77,34 @@ let outcome_mismatch ref_out out =
       else if not (String.equal d1 d2) then Some "digest differs"
       else None
 
-(* Interp is the oracle; flat and closure must match it. *)
+(* Interp is the oracle; the closure tier must match it. *)
 let assert_equiv ~what ~n k =
-  let ref_out = run_on Backend.Interp ~n k in
+  match
+    outcome_mismatch (run_on Backend.Interp ~n k) (run_on Backend.Closure ~n k)
+  with
+  | None -> ()
+  | Some why ->
+      Alcotest.failf "%s: closure tier diverges at n=%d: %s" what n why
+
+(* --- backend selection ----------------------------------------------------- *)
+
+(* Two tiers, each name round-trips, and the retired "flat" name is
+   unknown, so [--backend flat] and [VECMODEL_BACKEND=flat] take the
+   usage-error and warn-and-fall-back paths. *)
+let test_backend_selection () =
+  check "all = [interp; closure]" true
+    (Backend.all = [ Backend.Interp; Backend.Closure ]);
   List.iter
-    (fun backend ->
-      match outcome_mismatch ref_out (run_on backend ~n k) with
-      | None -> ()
-      | Some why ->
-          Alcotest.failf "%s: %s backend diverges at n=%d: %s" what
-            (Backend.to_string backend) n why)
-    [ Backend.Flat; Backend.Closure ]
+    (fun b ->
+      check (Backend.to_string b ^ " round-trips") true
+        (Backend.of_string (Backend.to_string b) = Some b))
+    Backend.all;
+  check "flat is not a backend" true (Backend.of_string "flat" = None)
 
 (* --- opcode encoding ------------------------------------------------------ *)
 
-(* The dispatch loop and the closure compiler match on integer literals;
-   this pins the [Program] constants those literals must equal. *)
+(* The closure compiler matches on integer literals; this pins the
+   [Program] constants those literals must equal. *)
 let test_opcode_encoding () =
   let expected =
     [ (Program.op_fadd, 0); (Program.op_fsub, 1); (Program.op_fmul, 2);
@@ -207,9 +219,11 @@ let strided_kernel () =
   | Some e -> e.kernel
   | None -> List.hd Tsvc.Registry.kernels
 
-let run_state st k ~n =
+(* Compile [p] on the closure tier and run it over a fresh environment. *)
+let run_program p k ~n =
+  let st = Flat.create p in
   let env = Env.create ~n k in
-  let reds = Flat.run_in st env in
+  let reds = Closure.run_in st (Closure.compile st) env in
   Backend.digest env reds
 
 (* Corrupting one affine coefficient must change the digest: proves the
@@ -222,7 +236,7 @@ let test_seeded_stride_bug () =
     let r = Vinterp.Interp.run ~n k in
     Backend.digest r.Vinterp.Interp.env r.Vinterp.Interp.reductions
   in
-  let good = run_state (Flat.create (Program.lower k)) k ~n in
+  let good = run_program (Program.lower k) k ~n in
   check_string "uncorrupted program matches interp" reference good;
   let p = Program.lower k in
   let corrupted = ref false in
@@ -238,7 +252,7 @@ let test_seeded_stride_bug () =
     p.Program.accesses;
   check "found an affine access to corrupt" true !corrupted;
   let bad =
-    match run_state (Flat.create p) k ~n with
+    match run_program p k ~n with
     | d -> d
     | exception (Env.Out_of_bounds _ | Invalid_argument _) -> "trap"
   in
@@ -264,7 +278,7 @@ let test_seeded_reduction_bug () =
   check "program has a reduction" true (Array.length p.Program.reds > 0);
   let r0 = p.Program.reds.(0) in
   p.Program.reds.(0) <- { r0 with Program.rd_init = r0.Program.rd_init +. 1.0 };
-  let bad = run_state (Flat.create p) k ~n in
+  let bad = run_program p k ~n in
   check "wrong reduction init detected by digest" false
     (String.equal reference bad)
 
@@ -309,9 +323,9 @@ let test_env_reset () =
 let machine = Vmachine.Machines.neon_a57
 let slice () = List.filteri (fun i _ -> i < 24) Tsvc.Registry.all
 
-(* All three backends must produce identical samples (including the
-   execution digest) through the full Dataset pipeline, under both
-   transforms. *)
+(* Both backends must produce identical samples (including the execution
+   digest) through the full Dataset pipeline, under both transforms; the
+   closure builds run licensed by each kernel's certificate. *)
 let test_dataset_backends_agree () =
   let build backend transform =
     Dataset.set_cache_enabled false;
@@ -324,18 +338,10 @@ let test_dataset_backends_agree () =
   List.iter
     (fun transform ->
       let by_interp = build Backend.Interp transform in
-      let by_flat = build Backend.Flat transform in
       let by_closure = build Backend.Closure transform in
       check "interp slice non-empty" true (by_interp <> []);
-      check_int "flat sample count"
-        (List.length by_interp) (List.length by_flat);
       check_int "closure sample count"
         (List.length by_interp) (List.length by_closure);
-      List.iter2
-        (fun (a : Dataset.sample) (b : Dataset.sample) ->
-          check_string (a.name ^ " digest interp=flat") a.exec_digest
-            b.exec_digest)
-        by_interp by_flat;
       List.iter2
         (fun (a : Dataset.sample) (b : Dataset.sample) ->
           check_string (a.name ^ " digest interp=closure") a.exec_digest
@@ -393,12 +399,14 @@ let test_cache_backend_attribution () =
   Dataset.cache_clear ()
 
 let tests =
-  [ Alcotest.test_case "opcode encoding pinned" `Quick test_opcode_encoding;
-    Alcotest.test_case "registry: three backends agree" `Slow
+  [ Alcotest.test_case "backend selection: interp and closure" `Quick
+      test_backend_selection;
+    Alcotest.test_case "opcode encoding pinned" `Quick test_opcode_encoding;
+    Alcotest.test_case "registry: closure matches interp" `Slow
       test_registry_equivalence;
-    Alcotest.test_case "normalized + unrolled: three backends agree" `Slow
+    Alcotest.test_case "transformed: closure matches interp" `Slow
       test_transformed_equivalence;
-    Alcotest.test_case "reduction kernels: three backends agree" `Slow
+    Alcotest.test_case "reductions: closure matches interp" `Slow
       test_reduction_equivalence;
     QCheck_alcotest.to_alcotest prop_synth;
     QCheck_alcotest.to_alcotest prop_dep;
