@@ -636,87 +636,63 @@ let bench_json out =
         label r.Vserve.Loadtest.lt_sent r.lt_answered r.lt_rejected
         (r.lt_degraded + r.lt_partials) r.lt_p99)
     [ ("clean", serve_clean); ("chaos", serve_chaos) ];
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"pipeline\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"pool_workers\": %d,\n" (Vpar.Pool.default_size ()));
-  Buffer.add_string b "  \"experiments\": [\n";
-  List.iteri
-    (fun i (id, serial_cold, parallel_warm) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"id\": \"%s\", \"serial_cold_s\": %.6f, \
-            \"parallel_warm_s\": %.6f, \"speedup\": %.2f}%s\n"
-           id serial_cold parallel_warm
-           (serial_cold /. Float.max 1e-9 parallel_warm)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"suite\": {\"serial_cold_total_s\": %.6f, \
-        \"parallel_shared_cache_s\": %.6f},\n"
-       serial_total suite_shared);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"opt\": {\"wall_s\": %.6f, \"kernels\": %d, \
-        \"mean_class_reduction\": {%s}},\n"
-       opt_wall (List.length opt_kernels)
-       (String.concat ", "
-          (List.map
-             (fun (c, v) -> Printf.sprintf "\"%s\": %.4f" c v)
-             opt_mean_reduction)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"deps\": {\"wall_s\": %.6f, \"configs\": %d, \"tp\": %d, \
-        \"fp\": %d, \"fn\": %d, \"tn\": %d, \"inapplicable\": %d, \
-        \"precision\": %.6f, \"recall\": %.6f},\n"
-       deps_wall
-       (List.length !deps_configs)
-       deps_stats.Vanalysis.Depsreport.st_tp deps_stats.st_fp deps_stats.st_fn
-       deps_stats.st_tn deps_stats.st_inapplicable
-       (Vanalysis.Depsreport.precision deps_stats)
-       (Vanalysis.Depsreport.recall deps_stats));
-  Buffer.add_string b "  \"exec\": [\n";
-  List.iteri
-    (fun i (name, kps, cold, warm) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"backend\": \"%s\", \"kernels_per_s\": %.1f, \
-            \"build_cold_s\": %.6f, \"build_warm_s\": %.6f}%s\n"
-           name kps cold warm
-           (if i = List.length exec_rows - 1 then "" else ",")))
-    exec_rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"exec_build_speedup_closure_vs_interp\": %.2f,\n" exec_speedup);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"cert\": {\"certified_frac\": %.6f, \"certify_wall_s\": %.6f},\n"
-       cert_frac cert_wall);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"san\": {\"build_cold_s\": %.6f, \"build_cold_sanitized_s\": \
-        %.6f, \"overhead\": %.4f},\n"
-       san_off san_on
-       (san_on /. Float.max 1e-9 san_off -. 1.0));
-  Buffer.add_string b "  \"serve\": {\n";
-  Buffer.add_string b
-    (Printf.sprintf "    \"clean\": %s,\n"
-       (String.trim (Vserve.Loadtest.result_to_json serve_clean)));
-  Buffer.add_string b
-    (Printf.sprintf "    \"chaos\": %s\n  },\n"
-       (String.trim (Vserve.Loadtest.result_to_json serve_chaos)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"cache\": {\"hits\": %d, \"misses\": %d, \"entries\": %d},\n"
-       stats.Dataset.hits stats.Dataset.misses stats.Dataset.entries);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"loocv_cache\": {\"hits\": %d, \"misses\": %d, \"entries\": %d}\n}\n"
-       lstats.Dataset.hits lstats.Dataset.misses lstats.Dataset.entries);
-  Report.write_file out (Buffer.contents b);
+  let count n = Vjson.Num (float_of_int n) in
+  let cache_json (c : Dataset.cache_stats) =
+    Vjson.Obj
+      [ ("hits", count c.hits); ("misses", count c.misses); ("entries", count c.entries) ]
+  in
+  let experiment (id, serial_cold, parallel_warm) =
+    Vjson.(
+      Obj
+        [ ("id", Str id); ("serial_cold_s", Num serial_cold);
+          ("parallel_warm_s", Num parallel_warm);
+          ("speedup", Num (serial_cold /. Float.max 1e-9 parallel_warm)) ])
+  in
+  let exec_row (name, kps, cold, warm) =
+    Vjson.(
+      Obj
+        [ ("backend", Str name); ("kernels_per_s", Num kps); ("build_cold_s", Num cold);
+          ("build_warm_s", Num warm) ])
+  in
+  let doc =
+    Vjson.(
+      Obj
+        [ ("benchmark", Str "pipeline");
+          ("pool_workers", count (Vpar.Pool.default_size ()));
+          ("experiments", List (List.map experiment rows));
+          ( "suite",
+            Obj
+              [ ("serial_cold_total_s", Num serial_total);
+                ("parallel_shared_cache_s", Num suite_shared) ] );
+          ( "opt",
+            Obj
+              [ ("wall_s", Num opt_wall); ("kernels", count (List.length opt_kernels));
+                ( "mean_class_reduction",
+                  Obj (List.map (fun (c, v) -> (c, Num v)) opt_mean_reduction) ) ] );
+          ( "deps",
+            Obj
+              [ ("wall_s", Num deps_wall); ("configs", count (List.length !deps_configs));
+                ("tp", count deps_stats.Vanalysis.Depsreport.st_tp);
+                ("fp", count deps_stats.st_fp); ("fn", count deps_stats.st_fn);
+                ("tn", count deps_stats.st_tn);
+                ("inapplicable", count deps_stats.st_inapplicable);
+                ("precision", Num (Vanalysis.Depsreport.precision deps_stats));
+                ("recall", Num (Vanalysis.Depsreport.recall deps_stats)) ] );
+          ("exec", List (List.map exec_row exec_rows));
+          ("exec_build_speedup_closure_vs_interp", Num exec_speedup);
+          ( "cert",
+            Obj [ ("certified_frac", Num cert_frac); ("certify_wall_s", Num cert_wall) ] );
+          ( "san",
+            Obj
+              [ ("build_cold_s", Num san_off); ("build_cold_sanitized_s", Num san_on);
+                ("overhead", Num (san_on /. Float.max 1e-9 san_off -. 1.0)) ] );
+          ( "serve",
+            Obj
+              [ ("clean", Vserve.Loadtest.result_to_json serve_clean);
+                ("chaos", Vserve.Loadtest.result_to_json serve_chaos) ] );
+          ("cache", cache_json stats); ("loocv_cache", cache_json lstats) ])
+  in
+  Report.write_file out (Vjson.to_string doc ^ "\n");
   (* The output landed atomically; the checkpoints have served their
      purpose. *)
   Checkpoint.Journal.clear journal;

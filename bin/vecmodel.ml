@@ -15,6 +15,10 @@
 open Cmdliner
 open Costmodel
 
+(* Every --json surface prints one {!Vjson} value on one line. *)
+let print_json v = print_endline (Vjson.to_string v)
+let json_int n = Vjson.Num (float_of_int n)
+
 let machine_names = List.map (fun m -> m.Vmachine.Descr.name) Vmachine.Machines.all
 
 let machine_conv =
@@ -361,7 +365,8 @@ let lint_cmd =
       Vanalysis.Driver.lint_kernels ?transforms ?vfs
         (List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries)
     in
-    if json then print_endline (Vanalysis.Driver.reports_to_json reports)
+    if json then
+      print_json (Vjson.List (List.map Vanalysis.Driver.report_to_json reports))
     else begin
       List.iter (Vanalysis.Driver.print_report ~verbose stdout) reports;
       Vanalysis.Driver.print_summary stdout reports
@@ -442,14 +447,16 @@ let deps_cmd =
       let configs = Vanalysis.Depsreport.crosscheck ?vfs kernels in
       let st = Vanalysis.Depsreport.stats configs in
       if json then
-        print_endline
-          (Printf.sprintf
-             "{\"configs\":%d,\"tp\":%d,\"fp\":%d,\"fn\":%d,\"tn\":%d,\
-              \"inapplicable\":%d,\"precision\":%.4f,\"recall\":%.4f}"
-             (List.length configs) st.Vanalysis.Depsreport.st_tp st.st_fp
-             st.st_fn st.st_tn st.st_inapplicable
-             (Vanalysis.Depsreport.precision st)
-             (Vanalysis.Depsreport.recall st))
+        print_json
+          Vjson.(
+            Obj
+              [ ("configs", json_int (List.length configs));
+                ("tp", json_int st.Vanalysis.Depsreport.st_tp);
+                ("fp", json_int st.st_fp); ("fn", json_int st.st_fn);
+                ("tn", json_int st.st_tn);
+                ("inapplicable", json_int st.st_inapplicable);
+                ("precision", Num (Vanalysis.Depsreport.precision st));
+                ("recall", Num (Vanalysis.Depsreport.recall st)) ])
       else begin
         List.iter
           (fun c ->
@@ -469,7 +476,9 @@ let deps_cmd =
     else begin
       let summaries = Vanalysis.Depsreport.summarize_kernels kernels in
       if json then
-        print_endline (Vanalysis.Depsreport.summaries_to_json summaries)
+        print_json
+          (Vjson.List
+             (List.map Vanalysis.Depsreport.summary_to_json summaries))
       else
         List.iter (Vanalysis.Depsreport.print_summary stdout) summaries
     end
@@ -562,13 +571,14 @@ let effects_cmd =
       let configs = Vanalysis.Effect.crosscheck ?vfs kernels in
       let st = Vanalysis.Effect.stats configs in
       if json then
-        print_endline
-          (Printf.sprintf
-             "{\"configs\":%d,\"stable\":%d,\"escapes\":%d,\
-              \"inapplicable\":%d,\"precision\":%.4f}"
-             (List.length configs) st.Vanalysis.Effect.st_stable st.st_escape
-             st.st_inapplicable
-             (Vanalysis.Effect.precision st))
+        print_json
+          Vjson.(
+            Obj
+              [ ("configs", json_int (List.length configs));
+                ("stable", json_int st.Vanalysis.Effect.st_stable);
+                ("escapes", json_int st.st_escape);
+                ("inapplicable", json_int st.st_inapplicable);
+                ("precision", Num (Vanalysis.Effect.precision st)) ])
       else begin
         List.iter
           (fun c -> print_endline (Vanalysis.Effect.config_to_string c))
@@ -586,7 +596,8 @@ let effects_cmd =
     else begin
       let summaries = Vanalysis.Effect.analyze_kernels ~n kernels in
       if json then
-        print_endline (Vanalysis.Effect.summaries_to_json summaries)
+        print_json
+          (Vjson.List (List.map Vanalysis.Effect.summary_to_json summaries))
       else List.iter (Vanalysis.Effect.print_summary stdout) summaries
     end
   in
@@ -636,7 +647,7 @@ let absint_cmd =
           exit 124
     in
     let summary = Vanalysis.Absint.analyze ?vf ~n entry.kernel in
-    if json then print_endline (Vanalysis.Absint.summary_to_json summary)
+    if json then print_json (Vanalysis.Absint.summary_to_json summary)
     else Vanalysis.Absint.print_summary summary
   in
   Cmd.v
@@ -697,7 +708,8 @@ let opt_cmd =
     in
     let ks = List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries in
     let reports = Vanalysis.Opt.run_all ks in
-    if json then print_endline (Vanalysis.Opt.reports_to_json reports)
+    if json then
+      print_json (Vjson.List (List.map Vanalysis.Opt.report_to_json reports))
     else List.iter (Vanalysis.Opt.print_report stdout) reports;
     if validate then begin
       let diags = List.concat (Vanalysis.Opt.validate_all ks) in
@@ -783,11 +795,8 @@ let certify_cmd =
     in
     let pairs = Vanalysis.Cert.certify_batch ~vf ks in
     if json then
-      print_endline
-        ("["
-        ^ String.concat ","
-            (List.map (fun (_, c) -> Vanalysis.Cert.to_json c) pairs)
-        ^ "]")
+      print_json
+        (Vjson.List (List.map (fun (_, c) -> Vanalysis.Cert.to_json c) pairs))
     else begin
       List.iter
         (fun ((k : Vir.Kernel.t), (c : Vanalysis.Cert.t)) ->
@@ -1118,21 +1127,25 @@ let serve_health_offline path json =
   match Checkpoint.Journal.find j "serve-stats" with
   | None ->
       if json then
-        Printf.printf "{\"serving\": {\"journal\": \"%s\", \"present\": false}}\n"
-          (Vanalysis.Diag.json_escape path)
+        print_json
+          Vjson.(
+            Obj [ ("serving", Obj [ ("journal", Str path); ("present", Bool false) ]) ])
       else Printf.printf "serving: no checkpoint in journal %s\n" path
   | Some payload -> (
-      match Vserve.Jsonv.parse payload with
+      match Vjson.parse payload with
       | Error e ->
           Printf.eprintf "serving: corrupt journal payload: %s\n" e;
           exit 1
       | Ok v ->
           if json then
-            Printf.printf "{\"serving\": {\"journal\": \"%s\", \"present\": true, \"checkpoint\": %s}}\n"
-              (Vanalysis.Diag.json_escape path) (Vserve.Jsonv.to_string v)
+            let serving =
+              [ ("journal", Vjson.Str path); ("present", Vjson.Bool true);
+                ("checkpoint", v) ]
+            in
+            print_json (Vjson.Obj [ ("serving", Vjson.Obj serving) ])
           else begin
-            let geti k = Option.value ~default:0 (Vserve.Jsonv.mem_int k v) in
-            let gets k = Option.value ~default:"-" (Vserve.Jsonv.mem_str k v) in
+            let geti k = Option.value ~default:0 (Vjson.mem_int k v) in
+            let gets k = Option.value ~default:"-" (Vjson.mem_str k v) in
             Printf.printf "serving (journal %s, last checkpoint):\n" path;
             Printf.printf "  received          %d\n" (geti "received");
             Printf.printf "  answered          %d\n" (geti "answered");
@@ -1167,7 +1180,6 @@ let serve_health_live path json =
                 rq_op = Vserve.Proto.Health }
             ^ "\n"
           in
-          let _ = Unix.write_substring fd line 0 (String.length line) in
           let buf = Bytes.create 65536 in
           let b = Buffer.create 1024 in
           let rec read_line () =
@@ -1179,48 +1191,52 @@ let serve_health_live path json =
                   List.hd (String.split_on_char '\n' (Buffer.contents b))
                 else read_line ()
           in
-          let resp = read_line () in
-          if json then Printf.printf "{\"serving\": %s}\n" resp
-          else begin
-            match Vserve.Jsonv.parse resp with
-            | Error e ->
-                Printf.eprintf "serving: bad health response: %s\n" e;
-                exit 1
-            | Ok v ->
-                let gets k = Option.value ~default:"-" (Vserve.Jsonv.mem_str k v) in
-                let geti k = Option.value ~default:0 (Vserve.Jsonv.mem_int k v) in
-                Printf.printf "serving (live, %s):\n" path;
-                Printf.printf "  status            %s\n" (gets "status");
-                Printf.printf "  queue limit       %d\n" (geti "queue_limit");
-                (match Vserve.Jsonv.member "breakers" v with
-                | Some (Vserve.Jsonv.Obj bs) ->
-                    List.iter
-                      (fun (name, bv) ->
-                        Printf.printf "  breaker %-9s %s (%d trip%s)\n" name
-                          (Option.value ~default:"?"
-                             (Vserve.Jsonv.mem_str "state" bv))
-                          (Option.value ~default:0
-                             (Vserve.Jsonv.mem_int "trips" bv))
-                          (if Option.value ~default:0
-                                (Vserve.Jsonv.mem_int "trips" bv)
-                              = 1
-                           then "" else "s"))
-                      bs
-                | _ -> ());
-                Printf.printf "  reloads           %d ok, %d rejected\n"
-                  (geti "reloads") (geti "reloads_rejected");
-                Printf.printf "  model             %s (generation %d, origin %s)\n"
-                  (gets "model") (geti "generation") (gets "origin");
-                (match Vserve.Jsonv.member "stats" v with
-                | Some s ->
-                    Printf.printf "  received          %d\n"
-                      (Option.value ~default:0
-                         (Vserve.Jsonv.mem_int "received" s));
-                    Printf.printf "  answered          %d\n"
-                      (Option.value ~default:0
-                         (Vserve.Jsonv.mem_int "answered" s))
-                | None -> ())
-          end)
+          (* A daemon that hangs up unanswered is a bad response, not a
+             SIGPIPE or an uncaught Unix error. *)
+          Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+          let reply =
+            match
+              ignore (Unix.write_substring fd line 0 (String.length line));
+              read_line ()
+            with
+            | r -> Ok r
+            | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+          in
+          match Result.bind reply Vjson.parse with
+          | Error e ->
+              Printf.eprintf "serving: bad health response: %s\n" e;
+              exit 1
+          | Ok v when json -> print_json (Vjson.Obj [ ("serving", v) ])
+          | Ok v ->
+              let gets k = Option.value ~default:"-" (Vjson.mem_str k v) in
+              let geti k = Option.value ~default:0 (Vjson.mem_int k v) in
+              Printf.printf "serving (live, %s):\n" path;
+              Printf.printf "  status            %s\n" (gets "status");
+              Printf.printf "  queue limit       %d\n" (geti "queue_limit");
+              (match Vjson.member "breakers" v with
+              | Some (Vjson.Obj bs) ->
+                  List.iter
+                    (fun (name, bv) ->
+                      let trips =
+                        Option.value ~default:0 (Vjson.mem_int "trips" bv)
+                      in
+                      Printf.printf "  breaker %-9s %s (%d trip%s)\n" name
+                        (Option.value ~default:"?" (Vjson.mem_str "state" bv))
+                        trips
+                        (if trips = 1 then "" else "s"))
+                    bs
+              | _ -> ());
+              Printf.printf "  reloads           %d ok, %d rejected\n"
+                (geti "reloads") (geti "reloads_rejected");
+              Printf.printf "  model             %s (generation %d, origin %s)\n"
+                (gets "model") (geti "generation") (gets "origin");
+              (match Vjson.member "stats" v with
+              | Some s ->
+                  Printf.printf "  received          %d\n"
+                    (Option.value ~default:0 (Vjson.mem_int "received" s));
+                  Printf.printf "  answered          %d\n"
+                    (Option.value ~default:0 (Vjson.mem_int "answered" s))
+              | None -> ()))
 
 let health_cmd =
   let repeats_arg =
@@ -1277,55 +1293,36 @@ let health_cmd =
     let st = Vpar.Pool.stats () in
     let injected = Vfault.Inject.counts () in
     let plan = Vfault.Inject.active () in
-    if json then begin
-      let b = Buffer.create 1024 in
-      Buffer.add_string b "{\n";
-      Buffer.add_string b
-        (Printf.sprintf "  \"plan\": \"%s\",\n"
-           (Vanalysis.Diag.json_escape (Vfault.Plan.to_string plan)));
-      Buffer.add_string b
-        (Printf.sprintf "  \"samples\": %d,\n" (List.length samples));
-      Buffer.add_string b
-        (Printf.sprintf "  \"quarantined\": [%s],\n"
-           (String.concat ", "
-              (List.map
-                 (fun (q : Dataset.quarantine) ->
-                   Printf.sprintf
-                     "{\"kernel\": \"%s\", \"machine\": \"%s\", \
-                      \"transform\": \"%s\", \"reason\": \"%s\"}"
-                     (Vanalysis.Diag.json_escape q.q_name)
-                     (Vanalysis.Diag.json_escape q.q_machine)
-                     (Vanalysis.Diag.json_escape q.q_transform)
-                     (Vanalysis.Diag.json_escape q.q_reason))
-                 h.h_quarantined)));
-      Buffer.add_string b
-        (Printf.sprintf "  \"cache_corruptions\": %d,\n" h.h_cache_corruptions);
-      Buffer.add_string b
-        (Printf.sprintf "  \"repeats_rejected\": %d,\n" h.h_repeats_rejected);
-      Buffer.add_string b
-        (Printf.sprintf
-           "  \"pool\": {\"crashes\": %d, \"respawned\": %d, \"timeouts\": \
-            %d, \"retries\": %d, \"failures\": %d, \"degraded\": %d},\n"
-           st.st_crashes st.st_respawned st.st_timeouts st.st_retries
-           st.st_failures st.st_degraded);
-      Buffer.add_string b
-        (Printf.sprintf "  \"injected\": {%s},\n"
-           (String.concat ", "
-              (List.map
-                 (fun (k, v) ->
-                   Printf.sprintf "\"%s\": %d" (Vanalysis.Diag.json_escape k) v)
-                 injected)));
-      Buffer.add_string b
-        (Printf.sprintf
-           "  \"sanitizer\": {\"active\": %b, \"shadowed\": %d, \
-            \"verifications\": %d, \"corruptions\": %d}\n"
-           (Vexec.Sanitize.active ())
-           (Vexec.Sanitize.shadowed ())
-           (Vexec.Sanitize.verification_count ())
-           (Vexec.Sanitize.corruption_count ()));
-      Buffer.add_string b "}";
-      print_endline (Buffer.contents b)
-    end
+    if json then
+      let quarantined (q : Dataset.quarantine) =
+        Vjson.(
+          Obj
+            [ ("kernel", Str q.q_name); ("machine", Str q.q_machine);
+              ("transform", Str q.q_transform); ("reason", Str q.q_reason) ])
+      in
+      print_json
+        Vjson.(
+          Obj
+            [ ("plan", Str (Vfault.Plan.to_string plan));
+              ("samples", json_int (List.length samples));
+              ("quarantined", List (List.map quarantined h.h_quarantined));
+              ("cache_corruptions", json_int h.h_cache_corruptions);
+              ("repeats_rejected", json_int h.h_repeats_rejected);
+              ( "pool",
+                Obj
+                  [ ("crashes", json_int st.st_crashes);
+                    ("respawned", json_int st.st_respawned);
+                    ("timeouts", json_int st.st_timeouts);
+                    ("retries", json_int st.st_retries);
+                    ("failures", json_int st.st_failures);
+                    ("degraded", json_int st.st_degraded) ] );
+              ("injected", Obj (List.map (fun (k, v) -> (k, json_int v)) injected));
+              ( "sanitizer",
+                Obj
+                  [ ("active", Bool (Vexec.Sanitize.active ()));
+                    ("shadowed", json_int (Vexec.Sanitize.shadowed ()));
+                    ("verifications", json_int (Vexec.Sanitize.verification_count ()));
+                    ("corruptions", json_int (Vexec.Sanitize.corruption_count ())) ] ) ])
     else begin
       Printf.printf "health: %s / %s, n = %d, repeats = %d\n"
         machine.Vmachine.Descr.name
@@ -1391,23 +1388,20 @@ let faults_cmd =
         Vfault.Inject.env_var
       else "(none)"
     in
-    if json then begin
+    if json then
       let clause (c : Vfault.Plan.clause) =
-        Printf.sprintf
-          "{\"site\": \"%s\", \"kind\": \"%s\", \"rate\": %g, \"magnitude\": \
-           %g}"
-          (Vfault.Plan.site_to_string c.site)
-          (Vfault.Plan.kind_to_string c.kind)
-          c.rate c.magnitude
+        Vjson.(
+          Obj
+            [ ("site", Str (Vfault.Plan.site_to_string c.site));
+              ("kind", Str (Vfault.Plan.kind_to_string c.kind));
+              ("rate", Num c.rate); ("magnitude", Num c.magnitude) ])
       in
-      Printf.printf
-        "{\n  \"source\": \"%s\",\n  \"spec\": \"%s\",\n  \"seed\": %d,\n  \
-         \"clauses\": [%s]\n}\n"
-        (Vanalysis.Diag.json_escape source)
-        (Vanalysis.Diag.json_escape (Vfault.Plan.to_string plan))
-        plan.Vfault.Plan.seed
-        (String.concat ", " (List.map clause plan.Vfault.Plan.clauses))
-    end
+      print_json
+        Vjson.(
+          Obj
+            [ ("source", Str source); ("spec", Str (Vfault.Plan.to_string plan));
+              ("seed", json_int plan.Vfault.Plan.seed);
+              ("clauses", List (List.map clause plan.Vfault.Plan.clauses)) ])
     else if Vfault.Plan.is_empty plan then
       Printf.printf
         "no fault plan active (set %s or pass --faults SPEC; grammar in \
@@ -1604,7 +1598,7 @@ let loadtest_cmd =
       expect_clean faults =
     apply_faults faults;
     let finish (r : Vserve.Loadtest.result) =
-      if json then print_endline (Vserve.Loadtest.result_to_json r)
+      if json then print_json (Vserve.Loadtest.result_to_json r)
       else print_string (Vserve.Loadtest.result_to_string r);
       let gate =
         Vserve.Loadtest.gate ~p99_bound:p99 ~expect_degraded:expect_degraded r

@@ -492,49 +492,26 @@ let print_summary (s : summary) =
       (String.concat ", " (List.map (Printf.sprintf "@%d") s.s_widened))
 
 let summary_to_json (s : summary) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"kernel\": \"%s\", \"n\": %d, \"vf\": %s, "
-       (Diag.json_escape s.s_kernel.name)
-       s.s_n
-       (match s.s_vf with Some v -> string_of_int v | None -> "null"));
-  Buffer.add_string b
-    (Printf.sprintf "\"zero_trip\": %b, \"rounds\": %d, " s.s_zero_trip s.s_rounds);
-  Buffer.add_string b "\"trips\": {";
-  List.iteri
-    (fun i (var, tc) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\": \"%s\"" (Diag.json_escape var)
-           (trip_count_to_string tc)))
-    s.s_trips;
-  Buffer.add_string b "}, \"registers\": [";
-  Array.iteri
-    (fun pos iv ->
-      if pos > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "{\"pos\": %d, \"range\": \"%s\"}" pos
-           (Interval.to_string iv)))
-    s.s_regs;
-  Buffer.add_string b "], \"accesses\": [";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"pos\": %d, \"array\": \"%s\", \"kind\": \"%s\", \"class\": \
-            \"%s\", \"congruence\": \"%s\", \"range\": \"%s\"}"
-           a.ai_pos (Diag.json_escape a.ai_arr)
-           (if a.ai_store then "store" else "load")
-           (access_class_to_string a.ai_class)
-           (Congr.to_string a.ai_congr)
-           (Interval.to_string a.ai_range)))
-    s.s_accesses;
-  Buffer.add_string b "], \"widened\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (string_of_int p))
-    s.s_widened;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let register pos iv =
+    Vjson.(
+      Obj [ ("pos", Num (float_of_int pos)); ("range", Str (Interval.to_string iv)) ])
+  in
+  let access a =
+    Vjson.(
+      Obj
+        [ ("pos", Num (float_of_int a.ai_pos)); ("array", Str a.ai_arr);
+          ("kind", Str (if a.ai_store then "store" else "load"));
+          ("class", Str (access_class_to_string a.ai_class));
+          ("congruence", Str (Congr.to_string a.ai_congr));
+          ("range", Str (Interval.to_string a.ai_range)) ])
+  in
+  Vjson.(
+    Obj
+      [ ("kernel", Str s.s_kernel.name); ("n", Num (float_of_int s.s_n));
+        ("vf", match s.s_vf with Some v -> Num (float_of_int v) | None -> Null);
+        ("zero_trip", Bool s.s_zero_trip); ("rounds", Num (float_of_int s.s_rounds));
+        ( "trips",
+          Obj (List.map (fun (v, tc) -> (v, Str (trip_count_to_string tc))) s.s_trips) );
+        ("registers", List (List.mapi register (Array.to_list s.s_regs)));
+        ("accesses", List (List.map access s.s_accesses));
+        ("widened", List (List.map (fun p -> Num (float_of_int p)) s.s_widened)) ])

@@ -71,4 +71,4 @@ val aligned_fraction : n:int -> vf:int -> Vir.Kernel.t -> float
 val const_trip_flag : Vir.Kernel.t -> float
 
 val print_summary : summary -> unit
-val summary_to_json : summary -> string
+val summary_to_json : summary -> Vjson.t

@@ -177,25 +177,22 @@ let bind_time_guard_free ?(n = 1024) (k : Kernel.t) =
 (* --- deterministic JSON -------------------------------------------------- *)
 
 let to_json (c : t) =
-  let b = Buffer.create 512 in
-  let esc = Diag.json_escape in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"kernel\":\"%s\",\"vf\":%d,\"guard_free\":%b,\"safe\":%d,\"unsafe\":%d,\"accesses\":["
-       (esc c.ct_kernel) c.ct_vf c.ct_guard_free c.ct_safe c.ct_unsafe);
-  Array.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"id\":%d,\"pos\":%d,\"array\":\"%s\",\"store\":%b,\"indirect\":%b,\"verdict\":\"%s\",\"align\":\"%s\",\"reason\":\"%s\"}"
-           a.ac_id a.ac_pos (esc a.ac_array) a.ac_store a.ac_indirect
-           (verdict_to_string a.ac_verdict)
-           (align_to_string a.ac_align)
-           (esc a.ac_reason)))
-    c.ct_accesses;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let access a =
+    Vjson.(
+      Obj
+        [ ("id", Num (float_of_int a.ac_id)); ("pos", Num (float_of_int a.ac_pos));
+          ("array", Str a.ac_array); ("store", Bool a.ac_store);
+          ("indirect", Bool a.ac_indirect);
+          ("verdict", Str (verdict_to_string a.ac_verdict));
+          ("align", Str (align_to_string a.ac_align)); ("reason", Str a.ac_reason) ])
+  in
+  Vjson.(
+    Obj
+      [ ("kernel", Str c.ct_kernel); ("vf", Num (float_of_int c.ct_vf));
+        ("guard_free", Bool c.ct_guard_free);
+        ("safe", Num (float_of_int c.ct_safe));
+        ("unsafe", Num (float_of_int c.ct_unsafe));
+        ("accesses", List (List.map access (Array.to_list c.ct_accesses))) ])
 
 (* --- batch + soundness gate ---------------------------------------------- *)
 

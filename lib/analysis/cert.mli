@@ -56,9 +56,9 @@ val bind_time_guard_free : ?n:int -> Vir.Kernel.t -> int
     the default environment at size [n] (default 1024) — all-or-nothing
     per kernel and affine-only. *)
 
-val to_json : t -> string
-(** Deterministic single-line JSON (stable field order, sorted by access
-    id); byte-identical across worker counts. *)
+val to_json : t -> Vjson.t
+(** Deterministic JSON (stable field order, sorted by access id);
+    byte-identical across worker counts. *)
 
 val certify_batch : ?vf:int -> Vir.Kernel.t list -> (Vir.Kernel.t * t) list
 (** Certify on the shared pool; results in input order. *)

@@ -37,70 +37,49 @@ let summarize_kernels ?vfs ks = Vpar.Pool.parallel_map (summarize ?vfs) ks
 (* Edges come out of [Depgraph.build] sorted and deduplicated, so the JSON
    is byte-stable whatever the worker count. *)
 
+let int_or_null = function
+  | Some n -> Vjson.Num (float_of_int n)
+  | None -> Vjson.Null
+
 let edge_to_json (e : G.edge) =
-  let dist =
-    e.G.e_dist |> Array.to_list
-    |> List.map (function Some d -> string_of_int d | None -> "null")
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"array\":\"%s\",\"src\":%d,\"snk\":%d,\"kind\":\"%s\",\"dirs\":\"%s\",\
-     \"dist\":[%s],\"carried\":\"%s\",\"assumed\":%b}"
-    (Diag.json_escape e.G.e_array)
-    e.G.e_src e.G.e_snk
-    (Vdeps.Dependence.kind_to_string e.G.e_kind)
-    (S.dirs_to_string e.G.e_dirs)
-    dist
-    (G.carried_to_string e.G.e_carried)
-    e.G.e_assumed
+  Vjson.(
+    Obj
+      [ ("array", Str e.G.e_array); ("src", Num (float_of_int e.G.e_src));
+        ("snk", Num (float_of_int e.G.e_snk));
+        ("kind", Str (Vdeps.Dependence.kind_to_string e.G.e_kind));
+        ("dirs", Str (S.dirs_to_string e.G.e_dirs));
+        ("dist", List (List.map int_or_null (Array.to_list e.G.e_dist)));
+        ("carried", Str (G.carried_to_string e.G.e_carried));
+        ("assumed", Bool e.G.e_assumed) ])
 
 let vf_flags_to_json flags =
-  flags
-  |> List.map (fun (vf, ok) -> Printf.sprintf "{\"vf\":%d,\"legal\":%b}" vf ok)
-  |> String.concat ","
+  Vjson.(
+    List
+      (List.map
+         (fun (vf, ok) -> Obj [ ("vf", Num (float_of_int vf)); ("legal", Bool ok) ])
+         flags))
 
 let summary_to_json (s : summary) =
   let g = s.s_graph in
   let l = s.s_legality in
-  let counts =
-    G.carried_counts g |> Array.to_list |> List.map string_of_int
-    |> String.concat ","
-  in
-  let min_dist =
-    match G.min_carried_distance g with
-    | Some d -> string_of_int d
-    | None -> "null"
-  in
-  let vf_limit =
-    match l.L.l_vf_limit with
-    | Vdeps.Dependence.Unlimited -> "null"
-    | Vdeps.Dependence.Max_vf m -> string_of_int m
-  in
-  let idioms =
-    l.L.l_idioms
-    |> List.map (fun i ->
-           Printf.sprintf "\"%s\"" (Diag.json_escape (Vdeps.Idiom.to_string i)))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"kernel\":\"%s\",\"depth\":%d,\"loop_vars\":[%s],\"edges\":[%s],\
-     \"carried_counts\":[%s],\"min_carried_distance\":%s,\"vf_limit\":%s,\
-     \"assumed\":%b,\"idioms\":[%s],\"llv\":[%s],\"slp\":[%s],\"unroll\":[%s],\
-     \"interchange\":\"%s\"}"
-    (Diag.json_escape s.s_kernel)
-    g.G.g_depth
-    (String.concat ","
-       (List.map (fun v -> Printf.sprintf "\"%s\"" (Diag.json_escape v))
-          g.G.g_loop_vars))
-    (String.concat "," (List.map edge_to_json g.G.g_edges))
-    counts min_dist vf_limit l.L.l_assumed idioms
-    (vf_flags_to_json l.L.l_llv)
-    (vf_flags_to_json l.L.l_slp)
-    (vf_flags_to_json l.L.l_unroll)
-    (Diag.json_escape (L.ix_verdict_to_string l.L.l_interchange))
-
-let summaries_to_json ss =
-  "[" ^ String.concat "," (List.map summary_to_json ss) ^ "]"
+  let carried = Array.to_list (G.carried_counts g) in
+  Vjson.(
+    Obj
+      [ ("kernel", Str s.s_kernel); ("depth", Num (float_of_int g.G.g_depth));
+        ("loop_vars", List (List.map (fun v -> Str v) g.G.g_loop_vars));
+        ("edges", List (List.map edge_to_json g.G.g_edges));
+        ("carried_counts", List (List.map (fun c -> Num (float_of_int c)) carried));
+        ("min_carried_distance", int_or_null (G.min_carried_distance g));
+        ( "vf_limit",
+          match l.L.l_vf_limit with
+          | Vdeps.Dependence.Unlimited -> Null
+          | Vdeps.Dependence.Max_vf m -> Num (float_of_int m) );
+        ("assumed", Bool l.L.l_assumed);
+        ( "idioms",
+          List (List.map (fun i -> Str (Vdeps.Idiom.to_string i)) l.L.l_idioms) );
+        ("llv", vf_flags_to_json l.L.l_llv); ("slp", vf_flags_to_json l.L.l_slp);
+        ("unroll", vf_flags_to_json l.L.l_unroll);
+        ("interchange", Str (L.ix_verdict_to_string l.L.l_interchange)) ])
 
 (* --- human rendering --------------------------------------------------------- *)
 

@@ -18,9 +18,8 @@ val summarize : ?vfs:int list -> Kernel.t -> summary
 val summarize_kernels : ?vfs:int list -> Kernel.t list -> summary list
 
 (** Deterministic JSON (edges are already canonically sorted). *)
-val summary_to_json : summary -> string
+val summary_to_json : summary -> Vjson.t
 
-val summaries_to_json : summary list -> string
 val print_summary : out_channel -> summary -> unit
 
 (** Verdict for one (kernel, transform, VF) configuration of the

@@ -73,29 +73,10 @@ let pp fmt d = Format.pp_print_string fmt (to_string d)
 
 (* --- JSON -------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    "{\"pass\":\"%s\",\"severity\":\"%s\",\"kernel\":\"%s\",\"pos\":%s,\"message\":\"%s\"}"
-    (json_escape d.pass)
-    (severity_to_string d.severity)
-    (json_escape d.kernel)
-    (match d.pos with Some p -> string_of_int p | None -> "null")
-    (json_escape d.message)
-
-let list_to_json ds =
-  "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+  Vjson.(
+    Obj
+      [ ("pass", Str d.pass); ("severity", Str (severity_to_string d.severity));
+        ("kernel", Str d.kernel);
+        ("pos", match d.pos with Some p -> Num (float_of_int p) | None -> Null);
+        ("message", Str d.message) ])

@@ -39,6 +39,4 @@ val canonical : t list -> t list
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-val json_escape : string -> string
-val to_json : t -> string
-val list_to_json : t list -> string
+val to_json : t -> Vjson.t

@@ -136,21 +136,17 @@ let vec_result_to_json vr =
     match vr.vr_outcome with
     | Checked ds ->
         ( (if Diag.count_errors ds = 0 then "ok" else "failed"),
-          Printf.sprintf ",\"diagnostics\":%s" (Diag.list_to_json ds) )
-    | Skipped reason ->
-        ( "skipped",
-          Printf.sprintf ",\"reason\":\"%s\"" (Diag.json_escape reason) )
+          ("diagnostics", Vjson.List (List.map Diag.to_json ds)) )
+    | Skipped reason -> ("skipped", ("reason", Vjson.Str reason))
   in
-  Printf.sprintf "{\"transform\":\"%s\",\"vf\":%d,\"status\":\"%s\"%s}"
-    (transform_to_string vr.vr_transform)
-    vr.vr_vf status extra
+  Vjson.(
+    Obj
+      [ ("transform", Str (transform_to_string vr.vr_transform));
+        ("vf", Num (float_of_int vr.vr_vf)); ("status", Str status); extra ])
 
 let report_to_json r =
-  Printf.sprintf "{\"kernel\":\"%s\",\"errors\":%d,\"scalar\":%s,\"vector\":[%s]}"
-    (Diag.json_escape r.r_kernel)
-    (error_count r)
-    (Diag.list_to_json r.r_scalar)
-    (String.concat "," (List.map vec_result_to_json r.r_vector))
-
-let reports_to_json rs =
-  "[" ^ String.concat "," (List.map report_to_json rs) ^ "]"
+  Vjson.(
+    Obj
+      [ ("kernel", Str r.r_kernel); ("errors", Num (float_of_int (error_count r)));
+        ("scalar", List (List.map Diag.to_json r.r_scalar));
+        ("vector", List (List.map vec_result_to_json r.r_vector)) ])

@@ -45,5 +45,4 @@ val has_errors : report -> bool
 val print_report : ?verbose:bool -> out_channel -> report -> unit
 val print_summary : out_channel -> report list -> unit
 
-val report_to_json : report -> string
-val reports_to_json : report list -> string
+val report_to_json : report -> Vjson.t

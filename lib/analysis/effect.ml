@@ -402,38 +402,36 @@ let config_to_string c =
 (* --- rendering ------------------------------------------------------------- *)
 
 let interval_json (iv : Interval.t) =
-  if not (Interval.is_bounded iv) then "null"
-  else Printf.sprintf "[%g,%g]" iv.Interval.lo iv.Interval.hi
+  if not (Interval.is_bounded iv) then Vjson.Null
+  else Vjson.List [ Vjson.Num iv.Interval.lo; Vjson.Num iv.Interval.hi ]
 
 let entry_json s (e : E.entry) =
   let reg write =
     match region s ~array:e.E.e_array ~write with
     | Some r -> interval_json r.r_range
-    | None -> "null"
+    | None -> Vjson.Null
   in
-  Printf.sprintf
-    "{\"array\":\"%s\",\"read\":%b,\"write\":%b,\"read_indirect\":%b,\
-     \"write_indirect\":%b,\"ownership\":\"%s\",\"read_region\":%s,\
-     \"write_region\":%s}"
-    (Diag.json_escape e.E.e_array)
-    e.E.e_read e.E.e_write e.E.e_read_indirect e.E.e_write_indirect
-    (match ownership s e.E.e_array with
+  let owner =
+    match ownership s e.E.e_array with
     | Vinterp.Env.Frozen -> "frozen"
-    | Vinterp.Env.Owned -> "owned")
-    (reg false) (reg true)
+    | Vinterp.Env.Owned -> "owned"
+  in
+  Vjson.(
+    Obj
+      [ ("array", Str e.E.e_array); ("read", Bool e.E.e_read);
+        ("write", Bool e.E.e_write); ("read_indirect", Bool e.E.e_read_indirect);
+        ("write_indirect", Bool e.E.e_write_indirect); ("ownership", Str owner);
+        ("read_region", reg false); ("write_region", reg true) ])
 
 (* Entries and regions are sorted at construction, so the JSON is
    byte-stable whatever the worker count. *)
 let summary_to_json s =
-  Printf.sprintf
-    "{\"kernel\":\"%s\",\"n\":%d,\"rel_safe\":%d,\"rel_total\":%d,\
-     \"effects\":[%s]}"
-    (Diag.json_escape s.e_kernel.Kernel.name)
-    s.e_n s.e_rel_safe s.e_rel_total
-    (String.concat "," (List.map (entry_json s) s.e_license.E.ef_entries))
-
-let summaries_to_json ss =
-  "[" ^ String.concat "," (List.map summary_to_json ss) ^ "]"
+  Vjson.(
+    Obj
+      [ ("kernel", Str s.e_kernel.Kernel.name); ("n", Num (float_of_int s.e_n));
+        ("rel_safe", Num (float_of_int s.e_rel_safe));
+        ("rel_total", Num (float_of_int s.e_rel_total));
+        ("effects", List (List.map (entry_json s) s.e_license.E.ef_entries)) ])
 
 let print_summary oc s =
   Printf.fprintf oc "%s: %d array(s), rel %d/%d safe (n=%d)\n"

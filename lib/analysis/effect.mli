@@ -83,6 +83,5 @@ val config_to_string : config -> string
 
 (** {2 Rendering} (byte-stable across worker counts) *)
 
-val summary_to_json : summary -> string
-val summaries_to_json : summary list -> string
+val summary_to_json : summary -> Vjson.t
 val print_summary : out_channel -> summary -> unit

@@ -498,31 +498,24 @@ let print_report oc r =
   Printf.fprintf oc "  after:  %s\n" (mix_to_string (class_mix r.rp_normalized))
 
 let mix_to_json mix =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (c, n) -> Printf.sprintf "\"%s\":%d" c n) mix)
-  ^ "}"
+  Vjson.Obj (List.map (fun (c, n) -> (c, Vjson.Num (float_of_int n))) mix)
 
 let report_to_json r =
-  let steps =
-    String.concat ","
-      (List.map
-         (fun s ->
-           Printf.sprintf "{\"pass\":\"%s\",\"before\":%d,\"after\":%d}"
-             s.st_pass s.st_before s.st_after)
-         r.rp_steps)
+  let step s =
+    Vjson.(
+      Obj
+        [ ("pass", Str s.st_pass); ("before", Num (float_of_int s.st_before));
+          ("after", Num (float_of_int s.st_after)) ])
   in
-  Printf.sprintf
-    "{\"kernel\":\"%s\",\"before\":%d,\"after\":%d,\"hoisted\":%d,\"steps\":[%s],\"mix_before\":%s,\"mix_after\":%s}"
-    (Diag.json_escape r.rp_name)
-    (List.length r.rp_original.Kernel.body)
-    (List.length r.rp_normalized.Kernel.body)
-    r.rp_hoisted steps
-    (mix_to_json (class_mix r.rp_original))
-    (mix_to_json (class_mix r.rp_normalized))
-
-let reports_to_json rs =
-  "[" ^ String.concat "," (List.map report_to_json rs) ^ "]"
+  Vjson.(
+    Obj
+      [ ("kernel", Str r.rp_name);
+        ("before", Num (float_of_int (List.length r.rp_original.Kernel.body)));
+        ("after", Num (float_of_int (List.length r.rp_normalized.Kernel.body)));
+        ("hoisted", Num (float_of_int r.rp_hoisted));
+        ("steps", List (List.map step r.rp_steps));
+        ("mix_before", mix_to_json (class_mix r.rp_original));
+        ("mix_after", mix_to_json (class_mix r.rp_normalized)) ])
 
 (* Kernels are independent; the registry sweep fans out over the shared
    domain pool (order-preserving, so renderings stay byte-stable whatever

@@ -83,8 +83,7 @@ val normalize : Kernel.t -> Kernel.t
 val validate : ?sizes:int list -> Kernel.t -> Diag.t list
 
 val print_report : out_channel -> report -> unit
-val report_to_json : report -> string
-val reports_to_json : report list -> string
+val report_to_json : report -> Vjson.t
 
 (** Registry-wide sweeps over the shared domain pool (order-preserving). *)
 val run_all : Kernel.t list -> report list

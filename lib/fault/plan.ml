@@ -124,6 +124,13 @@ let normalize p =
   in
   { p with clauses = dedup sorted }
 
+(* [%.15g] when that parses back to [x], else [%.17g]: on-grid rates such
+   as 0.05 print as typed, and plans that differ in any digit never share
+   a spec string (it is a sample-cache key component). *)
+let number x =
+  let s = Printf.sprintf "%.15g" x in
+  if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
 let to_string p =
   if is_empty p then Printf.sprintf "seed=%d" p.seed
   else
@@ -131,8 +138,8 @@ let to_string p =
       (Printf.sprintf "seed=%d" p.seed
       :: List.map
            (fun c ->
-             Printf.sprintf "%s.%s=%g@%g" (site_to_string c.site)
-               (kind_to_string c.kind) c.rate c.magnitude)
+             Printf.sprintf "%s.%s=%s@%s" (site_to_string c.site)
+               (kind_to_string c.kind) (number c.rate) (number c.magnitude))
            (normalize p).clauses)
 
 let parse s =

@@ -142,11 +142,11 @@ let stats t =
   s
 
 let stats_json s =
-  Jsonv.Obj
-    (List.map (fun (k, v) -> (k, Jsonv.Num (float_of_int v))) (stats_to_list s))
+  Vjson.Obj
+    (List.map (fun (k, v) -> (k, Vjson.Num (float_of_int v))) (stats_to_list s))
 
 let restore_stats m v =
-  let get k = Option.value ~default:0 (Jsonv.mem_int k v) in
+  let get k = Option.value ~default:0 (Vjson.mem_int k v) in
   m.m_received <- get "received";
   m.m_answered <- get "answered";
   m.m_rejected_overload <- get "rejected_overload";
@@ -167,20 +167,20 @@ let checkpoint_locked t =
       let loaded = Modelslot.current t.slot in
       let payload =
         match stats_json (snapshot_locked t.m) with
-        | Jsonv.Obj fields ->
-            Jsonv.Obj
+        | Vjson.Obj fields ->
+            Vjson.Obj
               (fields
               @ [ ( "reloads",
-                    Jsonv.Num (float_of_int (Modelslot.reloads t.slot)) );
+                    Vjson.Num (float_of_int (Modelslot.reloads t.slot)) );
                   ( "reloads_rejected",
-                    Jsonv.Num (float_of_int (Modelslot.rejected t.slot)) );
-                  ("model_digest", Jsonv.Str loaded.Modelslot.digest);
-                  ("model_origin", Jsonv.Str loaded.Modelslot.origin);
+                    Vjson.Num (float_of_int (Modelslot.rejected t.slot)) );
+                  ("model_digest", Vjson.Str loaded.Modelslot.digest);
+                  ("model_origin", Vjson.Str loaded.Modelslot.origin);
                   ( "generation",
-                    Jsonv.Num (float_of_int loaded.Modelslot.generation) ) ])
+                    Vjson.Num (float_of_int loaded.Modelslot.generation) ) ])
         | v -> v
       in
-      Checkpoint.Journal.record j journal_key (Jsonv.to_string payload)
+      Checkpoint.Journal.record j journal_key (Vjson.to_string payload)
 
 let checkpoint t =
   Mutex.lock t.lock;
@@ -197,7 +197,7 @@ let create cfg =
         match Checkpoint.Journal.find j journal_key with
         | None -> false
         | Some payload -> (
-            match Jsonv.parse payload with
+            match Vjson.parse payload with
             | Ok v ->
                 restore_stats m v;
                 true
@@ -351,12 +351,12 @@ let decide t ~tick ~rq_id ~vf ~budget ~elapsed kernel =
 let diag_fields report =
   let errors = Vanalysis.Driver.error_count report in
   let diags = List.length (Vanalysis.Driver.report_diags report) in
-  [ ("lint_errors", Jsonv.Num (float_of_int errors));
-    ("lint_diags", Jsonv.Num (float_of_int diags)) ]
+  [ ("lint_errors", Vjson.Num (float_of_int errors));
+    ("lint_diags", Vjson.Num (float_of_int diags)) ]
 
 let loaded_fields (l : Modelslot.loaded) =
-  [ ("model", Jsonv.Str l.digest); ("origin", Jsonv.Str l.origin);
-    ("generation", Jsonv.Num (float_of_int l.generation)) ]
+  [ ("model", Vjson.Str l.digest); ("origin", Vjson.Str l.origin);
+    ("generation", Vjson.Num (float_of_int l.generation)) ]
 
 let breaker_states t =
   Mutex.lock t.lock;
@@ -377,27 +377,27 @@ let health_payload t =
     || t.startup_error <> None
   in
   let loaded = Modelslot.current t.slot in
-  [ ("status", Jsonv.Str (if degraded_now then "degraded" else "ok"));
-    ("queue_limit", Jsonv.Num (float_of_int t.cfg.queue_limit));
-    ("deadline_s", Jsonv.Num t.cfg.deadline_s);
-    ("features", Jsonv.Str (Linmodel.feature_kind_to_string t.cfg.features));
-    ("machine", Jsonv.Str t.cfg.machine.Vmachine.Descr.name);
+  [ ("status", Vjson.Str (if degraded_now then "degraded" else "ok"));
+    ("queue_limit", Vjson.Num (float_of_int t.cfg.queue_limit));
+    ("deadline_s", Vjson.Num t.cfg.deadline_s);
+    ("features", Vjson.Str (Linmodel.feature_kind_to_string t.cfg.features));
+    ("machine", Vjson.Str t.cfg.machine.Vmachine.Descr.name);
     ( "breakers",
-      Jsonv.Obj
+      Vjson.Obj
         (List.map
            (fun (name, st, trips) ->
              ( name,
-               Jsonv.Obj
-                 [ ("state", Jsonv.Str st);
-                   ("trips", Jsonv.Num (float_of_int trips)) ] ))
+               Vjson.Obj
+                 [ ("state", Vjson.Str st);
+                   ("trips", Vjson.Num (float_of_int trips)) ] ))
            breakers) );
-    ("reloads", Jsonv.Num (float_of_int (Modelslot.reloads t.slot)));
+    ("reloads", Vjson.Num (float_of_int (Modelslot.reloads t.slot)));
     ( "reloads_rejected",
-      Jsonv.Num (float_of_int (Modelslot.rejected t.slot)) );
-    ("resumed", Jsonv.Bool t.resumed);
-    ("clients", Jsonv.Num (float_of_int (Bucket.Family.clients t.buckets)));
+      Vjson.Num (float_of_int (Modelslot.rejected t.slot)) );
+    ("resumed", Vjson.Bool t.resumed);
+    ("clients", Vjson.Num (float_of_int (Bucket.Family.clients t.buckets)));
     ( "startup_error",
-      match t.startup_error with None -> Jsonv.Null | Some m -> Jsonv.Str m );
+      match t.startup_error with None -> Vjson.Null | Some m -> Vjson.Str m );
     ("stats", stats_json s) ]
   @ loaded_fields loaded
 
@@ -482,15 +482,15 @@ let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
             (Proto.ok ~id
                (("stats", stats_json (stats t))
                :: ( "injected",
-                    Jsonv.Obj
+                    Vjson.Obj
                       (List.map
-                         (fun (k, v) -> (k, Jsonv.Num (float_of_int v)))
+                         (fun (k, v) -> (k, Vjson.Num (float_of_int v)))
                          (Vfault.Inject.counts ())) )
                :: loaded_fields (Modelslot.current t.slot)))
       | Proto.Shutdown ->
           checkpoint t;
           finish O_answered ~partial:false
-            (Proto.ok ~id [ ("stopping", Jsonv.Bool true) ])
+            (Proto.ok ~id [ ("stopping", Vjson.Bool true) ])
       | Proto.Reload { path } -> (
           match Modelslot.reload t.slot ~path with
           | Ok loaded ->
@@ -513,7 +513,7 @@ let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
               | Ok report ->
                   finish O_answered ~partial:false
                     (Proto.ok ~id
-                       (("kernel", Jsonv.Str kernel) :: diag_fields report))
+                       (("kernel", Vjson.Str kernel) :: diag_fields report))
               | Error `Dropped ->
                   reject O_dropped Proto.E_dropped "lint work lost on every attempt"
               | Error (`Failed m) -> reject O_internal Proto.E_internal m))
@@ -535,10 +535,10 @@ let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
               | Ok cert ->
                   finish O_answered ~partial:false
                     (Proto.ok ~id
-                       [ ("kernel", Jsonv.Str kernel);
-                         ("vf", Jsonv.Num (float_of_int vf));
-                         ("safe_frac", Jsonv.Num (Vanalysis.Cert.safe_frac cert));
-                         ("guard_free", Jsonv.Bool cert.Vanalysis.Cert.ct_guard_free) ])
+                       [ ("kernel", Vjson.Str kernel);
+                         ("vf", Vjson.Num (float_of_int vf));
+                         ("safe_frac", Vjson.Num (Vanalysis.Cert.safe_frac cert));
+                         ("guard_free", Vjson.Bool cert.Vanalysis.Cert.ct_guard_free) ])
               | Error `Dropped ->
                   reject O_dropped Proto.E_dropped
                     "certify work lost on every attempt"
@@ -566,10 +566,10 @@ let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
                   | Error (`Failed m) -> reject O_internal Proto.E_internal m
                   | Ok (speedup, loaded, tags, vectorized) ->
                         let base =
-                          [ ("kernel", Jsonv.Str kernel);
-                            ("speedup", Jsonv.Num speedup);
-                            ("vf", Jsonv.Num (float_of_int vf));
-                            ("vectorized", Jsonv.Bool vectorized) ]
+                          [ ("kernel", Vjson.Str kernel);
+                            ("speedup", Vjson.Num speedup);
+                            ("vf", Vjson.Num (float_of_int vf));
+                            ("vectorized", Vjson.Bool vectorized) ]
                           @ loaded_fields loaded
                         in
                         (* Diagnostics run on the remaining budget: a

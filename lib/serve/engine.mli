@@ -95,4 +95,4 @@ val checkpoint : t -> unit
 val breaker_states : t -> (string * string * int) list
 
 (** The health payload also served to [op = health] requests. *)
-val health_payload : t -> (string * Jsonv.t) list
+val health_payload : t -> (string * Vjson.t) list

@@ -1,41 +1,2 @@
-(** The serving protocol's JSON values: a small total parser and printer
-    for newline-delimited JSON.  Parsing never raises — malformed input,
-    over-deep nesting and truncated literals all come back as [Error] —
-    because every byte here arrives from an untrusted socket. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-(** Compact one-line rendering.  Strings are escaped so the output never
-    contains a raw newline or control byte; non-ASCII bytes pass through
-    unchanged (the line framing is byte-oriented).  Non-finite numbers
-    render as [null]: NaN must not escape into the protocol. *)
-val to_string : t -> string
-
-(** Parse one JSON value; trailing garbage after the value is an error.
-    Nesting deeper than [max_depth] is rejected. *)
-val parse : string -> (t, string) result
-
-val max_depth : int
-
-(** {2 Accessors} — all total. *)
-
-(** Object member lookup (first match). *)
-val member : string -> t -> t option
-
-val str : t -> string option
-val num : t -> float option
-val int : t -> int option
-val bool : t -> bool option
-val list : t -> t list option
-
-(** [mem_str "op" v] = member then {!str}. *)
-val mem_str : string -> t -> string option
-
-val mem_num : string -> t -> float option
-val mem_int : string -> t -> int option
+(** Re-export of {!Vjson} under its old serving-tier name. *)
+include module type of struct include Vjson end

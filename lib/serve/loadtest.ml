@@ -112,7 +112,7 @@ let tally_response t (resp : Proto.response) ~sojourn =
       if List.mem "no-diagnostics" resp.Proto.rs_degraded then
         t.partials <- t.partials + 1;
       (match List.assoc_opt "model" payload with
-      | Some (Jsonv.Str d) when not (List.mem d t.digests) ->
+      | Some (Vjson.Str d) when not (List.mem d t.digests) ->
           t.digests <- d :: t.digests
       | _ -> ())
   | Error (code, _) -> (
@@ -198,36 +198,19 @@ let run_sim ?(seed = 42) ?(requests = 400) ?(servers = 2)
 (* --- rendering -------------------------------------------------------------- *)
 
 let result_to_json r =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  let ints =
-    [ ("sent", r.lt_sent); ("answered", r.lt_answered);
-      ("rejected", r.lt_rejected); ("degraded", r.lt_degraded);
-      ("partials", r.lt_partials); ("dropped", r.lt_dropped);
-      ("deadline", r.lt_deadline); ("overload", r.lt_overload);
-      ("max_queue", r.lt_max_queue) ]
-  in
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\":%d," k v))
-    ints;
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "\"%s\":%.6f," k v))
-    [ ("p50", r.lt_p50); ("p99", r.lt_p99); ("qps", r.lt_qps);
-      ("makespan", r.lt_makespan) ];
-  Buffer.add_string b "\"digests\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\"" d))
-    r.lt_digests;
-  Buffer.add_string b "],\"injected\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" k v))
-    r.lt_injected;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let counts = List.map (fun (k, v) -> (k, Vjson.Num (float_of_int v))) in
+  Vjson.(
+    Obj
+      (counts
+         [ ("sent", r.lt_sent); ("answered", r.lt_answered);
+           ("rejected", r.lt_rejected); ("degraded", r.lt_degraded);
+           ("partials", r.lt_partials); ("dropped", r.lt_dropped);
+           ("deadline", r.lt_deadline); ("overload", r.lt_overload);
+           ("max_queue", r.lt_max_queue) ]
+      @ [ ("p50", Num r.lt_p50); ("p99", Num r.lt_p99); ("qps", Num r.lt_qps);
+          ("makespan", Num r.lt_makespan);
+          ("digests", List (List.map (fun d -> Str d) r.lt_digests));
+          ("injected", Obj (counts r.lt_injected)) ]))
 
 let result_to_string r =
   let b = Buffer.create 256 in

@@ -31,7 +31,7 @@ type result = {
       (** [serve.*] / [pool.*] injection counters observed during the run *)
 }
 
-val result_to_json : result -> string
+val result_to_json : result -> Vjson.t
 
 (** Human-readable multi-line summary. *)
 val result_to_string : result -> string

@@ -52,7 +52,7 @@ let error_code_of_string = function
 
 type response = {
   rs_id : string;
-  rs_result : ((string * Jsonv.t) list, error_code * string) result;
+  rs_result : ((string * Vjson.t) list, error_code * string) result;
   rs_degraded : string list;
 }
 
@@ -72,23 +72,23 @@ let op_name = function
   | Shutdown -> "shutdown"
 
 let request_to_line r =
-  let base = [ ("id", Jsonv.Str r.rq_id); ("op", Jsonv.Str (op_name r.rq_op)) ] in
+  let base = [ ("id", Vjson.Str r.rq_id); ("op", Vjson.Str (op_name r.rq_op)) ] in
   let client =
-    if r.rq_client = "" then [] else [ ("client", Jsonv.Str r.rq_client) ]
+    if r.rq_client = "" then [] else [ ("client", Vjson.Str r.rq_client) ]
   in
   let rest =
     match r.rq_op with
     | Predict { kernel; machine; vf } ->
-        (("kernel", Jsonv.Str kernel) :: Option.to_list (Option.map (fun m -> ("machine", Jsonv.Str m)) machine))
-        @ Option.to_list (Option.map (fun v -> ("vf", Jsonv.Num (float_of_int v))) vf)
-    | Lint { kernel } -> [ ("kernel", Jsonv.Str kernel) ]
+        (("kernel", Vjson.Str kernel) :: Option.to_list (Option.map (fun m -> ("machine", Vjson.Str m)) machine))
+        @ Option.to_list (Option.map (fun v -> ("vf", Vjson.Num (float_of_int v))) vf)
+    | Lint { kernel } -> [ ("kernel", Vjson.Str kernel) ]
     | Certify { kernel; vf } ->
-        ("kernel", Jsonv.Str kernel)
-        :: Option.to_list (Option.map (fun v -> ("vf", Jsonv.Num (float_of_int v))) vf)
+        ("kernel", Vjson.Str kernel)
+        :: Option.to_list (Option.map (fun v -> ("vf", Vjson.Num (float_of_int v))) vf)
     | Health | Stats | Shutdown -> []
-    | Reload { path } -> [ ("path", Jsonv.Str path) ]
+    | Reload { path } -> [ ("path", Vjson.Str path) ]
   in
-  Jsonv.to_string (Jsonv.Obj (base @ client @ rest))
+  Vjson.to_string (Vjson.Obj (base @ client @ rest))
 
 let request_of_line line =
   let err id fmt =
@@ -97,25 +97,25 @@ let request_of_line line =
   if String.length line > max_line_bytes then
     err "" "request line over %d bytes" max_line_bytes
   else
-    match Jsonv.parse line with
+    match Vjson.parse line with
     | Error m -> err "" "bad JSON: %s" m
     | Ok v -> (
-        let id = Option.value ~default:"" (Jsonv.mem_str "id" v) in
-        let client = Option.value ~default:"" (Jsonv.mem_str "client" v) in
+        let id = Option.value ~default:"" (Vjson.mem_str "id" v) in
+        let client = Option.value ~default:"" (Vjson.mem_str "client" v) in
         let vf =
-          match Jsonv.member "vf" v with
+          match Vjson.member "vf" v with
           | None -> Ok None
           | Some j -> (
-              match Jsonv.int j with
+              match Vjson.int j with
               | Some n when n >= 1 && n <= 64 -> Ok (Some n)
               | _ -> Error ())
         in
         let kernel () =
-          match Jsonv.mem_str "kernel" v with
+          match Vjson.mem_str "kernel" v with
           | Some k when k <> "" -> Ok k
           | _ -> Error ()
         in
-        match (Jsonv.mem_str "op" v, vf) with
+        match (Vjson.mem_str "op" v, vf) with
         | None, _ -> err id "missing op"
         | _, Error () -> err id "vf must be an integer in [1, 64]"
         | Some "predict", Ok vf -> (
@@ -125,7 +125,7 @@ let request_of_line line =
                 Ok
                   { rq_id = id; rq_client = client;
                     rq_op =
-                      Predict { kernel; machine = Jsonv.mem_str "machine" v; vf } })
+                      Predict { kernel; machine = Vjson.mem_str "machine" v; vf } })
         | Some "lint", _ -> (
             match kernel () with
             | Error () -> err id "lint needs a kernel name"
@@ -138,7 +138,7 @@ let request_of_line line =
         | Some "health", _ -> Ok { rq_id = id; rq_client = client; rq_op = Health }
         | Some "stats", _ -> Ok { rq_id = id; rq_client = client; rq_op = Stats }
         | Some "reload", _ -> (
-            match Jsonv.mem_str "path" v with
+            match Vjson.mem_str "path" v with
             | Some path when path <> "" ->
                 Ok { rq_id = id; rq_client = client; rq_op = Reload { path } }
             | _ -> err id "reload needs a path")
@@ -151,41 +151,41 @@ let response_to_line r =
   let degraded =
     match r.rs_degraded with
     | [] -> []
-    | tags -> [ ("degraded", Jsonv.List (List.map (fun t -> Jsonv.Str t) tags)) ]
+    | tags -> [ ("degraded", Vjson.List (List.map (fun t -> Vjson.Str t) tags)) ]
   in
   let fields =
     match r.rs_result with
     | Ok payload ->
-        (("id", Jsonv.Str r.rs_id) :: ("ok", Jsonv.Bool true) :: degraded)
+        (("id", Vjson.Str r.rs_id) :: ("ok", Vjson.Bool true) :: degraded)
         @ payload
     | Error (code, msg) ->
-        ("id", Jsonv.Str r.rs_id) :: ("ok", Jsonv.Bool false)
-        :: ("error", Jsonv.Str (error_code_to_string code))
-        :: ("msg", Jsonv.Str msg) :: degraded
+        ("id", Vjson.Str r.rs_id) :: ("ok", Vjson.Bool false)
+        :: ("error", Vjson.Str (error_code_to_string code))
+        :: ("msg", Vjson.Str msg) :: degraded
   in
-  Jsonv.to_string (Jsonv.Obj fields)
+  Vjson.to_string (Vjson.Obj fields)
 
 let response_of_line line =
-  match Jsonv.parse line with
+  match Vjson.parse line with
   | Error m -> Error ("bad JSON: " ^ m)
-  | Ok (Jsonv.Obj fields as v) -> (
-      let id = Option.value ~default:"" (Jsonv.mem_str "id" v) in
+  | Ok (Vjson.Obj fields as v) -> (
+      let id = Option.value ~default:"" (Vjson.mem_str "id" v) in
       let degraded =
-        match Jsonv.member "degraded" v with
-        | Some (Jsonv.List l) -> List.filter_map Jsonv.str l
+        match Vjson.member "degraded" v with
+        | Some (Vjson.List l) -> List.filter_map Vjson.str l
         | _ -> []
       in
-      match Jsonv.member "ok" v with
-      | Some (Jsonv.Bool true) ->
+      match Vjson.member "ok" v with
+      | Some (Vjson.Bool true) ->
           let payload =
             List.filter
               (fun (k, _) -> not (List.mem k [ "id"; "ok"; "degraded" ]))
               fields
           in
           Ok { rs_id = id; rs_result = Ok payload; rs_degraded = degraded }
-      | Some (Jsonv.Bool false) -> (
-          let msg = Option.value ~default:"" (Jsonv.mem_str "msg" v) in
-          match Option.bind (Jsonv.mem_str "error" v) error_code_of_string with
+      | Some (Vjson.Bool false) -> (
+          let msg = Option.value ~default:"" (Vjson.mem_str "msg" v) in
+          match Option.bind (Vjson.mem_str "error" v) error_code_of_string with
           | Some code ->
               Ok { rs_id = id; rs_result = Error (code, msg); rs_degraded = degraded }
           | None -> Error "response error code missing or unknown")

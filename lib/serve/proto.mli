@@ -39,7 +39,7 @@ val error_code_of_string : string -> error_code option
     ["lint-skipped"], ["no-diagnostics"]). *)
 type response = {
   rs_id : string;
-  rs_result : ((string * Jsonv.t) list, error_code * string) result;
+  rs_result : ((string * Vjson.t) list, error_code * string) result;
   rs_degraded : string list;
 }
 
@@ -57,5 +57,5 @@ val request_of_line : string -> (request, string * error_code * string) result
 val response_to_line : response -> string
 val response_of_line : string -> (response, string) result
 
-val ok : id:string -> ?degraded:string list -> (string * Jsonv.t) list -> response
+val ok : id:string -> ?degraded:string list -> (string * Vjson.t) list -> response
 val error : id:string -> ?degraded:string list -> error_code -> string -> response

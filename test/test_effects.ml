@@ -119,7 +119,10 @@ let test_effect_crosscheck_slice () =
    render below is what the CLI emits, serial vs pooled. *)
 let test_effects_json_deterministic () =
   let ks = List.filteri (fun i _ -> i mod 10 = 0) registry_kernels in
-  let render () = A.Effect.summaries_to_json (A.Effect.analyze_kernels ks) in
+  let render () =
+    Vjson.to_string
+      (Vjson.List (List.map A.Effect.summary_to_json (A.Effect.analyze_kernels ks)))
+  in
   Vpar.Pool.set_sequential true;
   let serial =
     Fun.protect ~finally:(fun () -> Vpar.Pool.set_sequential false) render

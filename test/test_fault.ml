@@ -53,6 +53,17 @@ let test_plan_parse_basic () =
         c.magnitude
   | None -> Alcotest.fail "hang clause lost"
 
+(* Off-grid numbers keep every digit: plans that differ only in the 7th
+   significant digit of a rate print (and so cache) differently. *)
+let test_plan_to_string_exact () =
+  let spec = "seed=1;measure.spike=0.01234561@16" in
+  let a = parse_exn spec and b = parse_exn "seed=1;measure.spike=0.01234564@16" in
+  check_string "off-grid rate printed in full" spec (Vfault.Plan.to_string a);
+  check_bool "distinct plans print differently" true
+    (Vfault.Plan.to_string a <> Vfault.Plan.to_string b);
+  check_bool "off-grid plan round-trips" true
+    (Vfault.Plan.parse (Vfault.Plan.to_string b) = Ok (Vfault.Plan.normalize b))
+
 let test_plan_parse_errors () =
   let rejected spec =
     match Vfault.Plan.parse spec with
@@ -632,6 +643,8 @@ let test_env_plan_exercised () =
 let tests =
   [ Alcotest.test_case "plan parse basics" `Quick test_plan_parse_basic;
     Alcotest.test_case "plan parse errors" `Quick test_plan_parse_errors;
+    Alcotest.test_case "plan to_string keeps every digit" `Quick
+      test_plan_to_string_exact;
     QCheck_alcotest.to_alcotest prop_plan_roundtrip;
     QCheck_alcotest.to_alcotest prop_empty_plan_identity;
     Alcotest.test_case "measurement fault kinds" `Quick test_measurement_kinds;

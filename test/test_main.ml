@@ -37,4 +37,5 @@ let () =
       ("absint", Test_absint.tests);
       ("par", Test_par.tests);
       ("fault", Test_fault.tests);
-      ("serve", Test_serve.tests) ]
+      ("serve", Test_serve.tests);
+      ("json", Test_json.tests) ]

@@ -410,7 +410,9 @@ let test_opt_json_deterministic () =
     List.filteri (fun i _ -> i mod 10 = 0)
       (List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) registry)
   in
-  let render () = A.Opt.reports_to_json (A.Opt.run_all ks) in
+  let render () =
+    Vjson.to_string (Vjson.List (List.map A.Opt.report_to_json (A.Opt.run_all ks)))
+  in
   Vpar.Pool.set_sequential true;
   let serial = Fun.protect ~finally:(fun () -> Vpar.Pool.set_sequential false) render in
   let parallel = render () in

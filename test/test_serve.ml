@@ -58,7 +58,7 @@ let write_model ?(w0 = 0.05) ?(features = Linmodel.Cert)
 
 let payload_str resp key =
   match resp.Vserve.Proto.rs_result with
-  | Ok fields -> Vserve.Jsonv.mem_str key (Vserve.Jsonv.Obj fields)
+  | Ok fields -> Vjson.mem_str key (Vjson.Obj fields)
   | Error _ -> None
 
 let code_of resp =
@@ -76,20 +76,20 @@ let jsonv_gen =
   sized @@ fix (fun self n ->
       let leaf =
         oneof
-          [ return Vserve.Jsonv.Null;
-            map (fun b -> Vserve.Jsonv.Bool b) bool;
-            map (fun i -> Vserve.Jsonv.Num (float_of_int i)) (int_range (-1000000) 1000000);
-            map (fun s -> Vserve.Jsonv.Str s) string_printable ]
+          [ return Vjson.Null;
+            map (fun b -> Vjson.Bool b) bool;
+            map (fun i -> Vjson.Num (float_of_int i)) (int_range (-1000000) 1000000);
+            map (fun s -> Vjson.Str s) string_printable ]
       in
       if n <= 0 then leaf
       else
         frequency
           [ (3, leaf);
             ( 1,
-              map (fun l -> Vserve.Jsonv.List l)
+              map (fun l -> Vjson.List l)
                 (list_size (int_bound 4) (self (n / 2))) );
             ( 1,
-              map (fun l -> Vserve.Jsonv.Obj l)
+              map (fun l -> Vjson.Obj l)
                 (list_size (int_bound 4)
                    (pair string_printable (self (n / 2)))) ) ])
 
@@ -97,7 +97,7 @@ let prop_jsonv_roundtrip =
   QCheck.Test.make ~count:200 ~name:"jsonv to_string/parse round-trip"
     (QCheck.make jsonv_gen)
     (fun v ->
-      match Vserve.Jsonv.parse (Vserve.Jsonv.to_string v) with
+      match Vjson.parse (Vjson.to_string v) with
       | Ok v' -> v = v'
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
 
@@ -107,8 +107,8 @@ let prop_jsonv_string_bytes =
   QCheck.Test.make ~count:200 ~name:"jsonv string bytes round-trip"
     QCheck.string
     (fun s ->
-      match Vserve.Jsonv.parse (Vserve.Jsonv.to_string (Vserve.Jsonv.Str s)) with
-      | Ok (Vserve.Jsonv.Str s') -> s = s'
+      match Vjson.parse (Vjson.to_string (Vjson.Str s)) with
+      | Ok (Vjson.Str s') -> s = s'
       | Ok _ -> false
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
 
@@ -119,12 +119,12 @@ let test_jsonv_totality () =
   in
   List.iter
     (fun s ->
-      match Vserve.Jsonv.parse s with
+      match Vjson.parse s with
       | Ok _ -> Alcotest.failf "%S should not parse" s
       | Error e -> check_bool "has message" true (String.length e > 0))
     bad;
   (* Non-finite numbers serialize to null rather than invalid JSON. *)
-  check_string "nan is null" "null" (Vserve.Jsonv.to_string (Vserve.Jsonv.Num Float.nan))
+  check_string "nan is null" "null" (Vjson.to_string (Vjson.Num Float.nan))
 
 (* --- protocol round-trips -------------------------------------------------- *)
 
@@ -180,8 +180,8 @@ let response_gen =
     list_size (int_bound 4)
       (pair string_printable
          (oneof
-            [ map (fun s -> Vserve.Jsonv.Str s) string_printable;
-              map (fun b -> Vserve.Jsonv.Bool b) bool ]))
+            [ map (fun s -> Vjson.Str s) string_printable;
+              map (fun b -> Vjson.Bool b) bool ]))
   in
   let codes =
     [ Vserve.Proto.E_bad_request; E_unknown_kernel; E_unknown_machine;
@@ -654,8 +654,9 @@ let test_sim_deterministic () =
       ~arrival_rate:600.0 ~config:base_config ()
   in
   let a = run () and b = run () in
-  check_string "same seed, same bytes" (Vserve.Loadtest.result_to_json a)
-    (Vserve.Loadtest.result_to_json b);
+  check_string "same seed, same bytes"
+    (Vjson.to_string (Vserve.Loadtest.result_to_json a))
+    (Vjson.to_string (Vserve.Loadtest.result_to_json b));
   check_int "everything accounted" a.Vserve.Loadtest.lt_sent
     (a.Vserve.Loadtest.lt_answered + a.Vserve.Loadtest.lt_rejected);
   (match Vserve.Loadtest.gate a with
