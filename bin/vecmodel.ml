@@ -983,83 +983,42 @@ let loocv_cmd =
 
 (* --- report ---------------------------------------------------------------------- *)
 
+let experiment_ids =
+  String.concat ", "
+    (List.map (fun (e : Experiment.entry) -> e.id) Experiment.registry)
+
+(* Ids resolve while the command line is parsed, so an unknown one is a
+   usage error (exit 124) before any experiment runs. *)
+let experiment_conv =
+  let parse s =
+    match Experiment.find s with
+    | Some e -> Ok e
+    | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "unknown experiment %s (expected one of: %s)" s
+                experiment_ids))
+  in
+  Arg.conv
+    (parse, fun fmt (e : Experiment.entry) -> Format.pp_print_string fmt e.id)
+
 let report_cmd =
   let which =
     Arg.(
-      value & pos_all string []
-      & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (f1..f13, t1, t2, a1..a10).")
+      value
+      & pos_all experiment_conv []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            ("Experiment ids, any case; all of them when none is given: "
+           ^ experiment_ids ^ "."))
   in
   let run which faults backend =
     apply_faults faults;
     apply_backend backend;
-    let all =
-      [ "f1"; "f2"; "f3"; "f4"; "f5"; "f6"; "f7"; "f8"; "f9"; "f10"; "f11";
-        "f12"; "f13"; "t1"; "t2"; "a1"; "a2"; "a3"; "a4"; "a5"; "a6"; "a7";
-        "a8"; "a9"; "a10" ]
-    in
-    let wanted = if which = [] then all else which in
+    let entries = match which with [] -> Experiment.registry | l -> l in
     List.iter
-      (fun id ->
-        match String.lowercase_ascii id with
-        | "f1" -> Report.print (Experiment.f1 ())
-        | "f2" -> Report.print (Experiment.f2 ())
-        | "f3" -> Report.print (Experiment.f3 ())
-        | "f4" -> Report.print (Experiment.f4 ())
-        | "f5" -> Report.print (Experiment.f5 ())
-        | "f6" -> Report.print (Experiment.f6 ())
-        | "f7" -> Report.print (Experiment.f7 ())
-        | "f8" -> Report.print (Experiment.f8 ())
-        | "f9" -> Report.print (Experiment.f9 ())
-        | "f10" -> Report.print (Experiment.f10 ())
-        | "f11" -> Report.print (Experiment.f11 ())
-        | "f12" -> Report.print (Experiment.f12 ())
-        | "f13" -> Report.print (Experiment.f13 ())
-        | "t2" -> Report.print (Experiment.t2 ())
-        | "a1" -> Report.print (Experiment.a1 ())
-        | "a2" ->
-            let a, b = Experiment.a2 () in
-            Report.print a;
-            Report.print b
-        | "a3" ->
-            let a, b = Experiment.a3 () in
-            Report.print a;
-            Report.print b
-        | "a4" -> Report.print (Experiment.a4 ())
-        | "a5" -> Report.print (Experiment.a5 ())
-        | "a6" ->
-            let r = Experiment.a6 () in
-            Printf.printf "A6: memory-model agreement %d / %d on %s\n"
-              r.Experiment.a6_agreeing r.Experiment.a6_total
-              r.Experiment.a6_machine
-        | "a7" ->
-            let r = Experiment.a7 () in
-            List.iter
-              (fun (s : Select.summary) ->
-                Printf.printf "A7 %-30s %14.2f Mcyc, optimal %d/%d\n"
-                  s.Select.sm_policy
-                  (s.Select.sm_total_cycles /. 1e6)
-                  s.Select.sm_optimal_picks s.Select.sm_kernels)
-              r.Experiment.a7_rows
-        | "a8" -> Report.print (Experiment.a8 ())
-        | "a9" ->
-            let r = Experiment.a9 () in
-            List.iter
-              (fun (row : Experiment.a9_row) ->
-                Printf.printf "A9 ic=%d geomean all %.2f, reductions %.2f (%d kernels)\n"
-                  row.Experiment.a9_ic row.Experiment.a9_geo_all
-                  row.Experiment.a9_geo_red row.Experiment.a9_kernels)
-              r.Experiment.a9_rows
-        | "a10" -> Report.print (Experiment.a10 ())
-        | "t1" ->
-            let t = Experiment.t1 () in
-            Printf.printf "\n== T1: LLV vs SLP on %s ==\n" t.Experiment.t1_kernel;
-            List.iter
-              (fun (r : Experiment.t1_row) ->
-                Printf.printf "  %-4s baseline %.2f refined %.2f measured %.2f\n"
-                  r.t1_transform r.t1_baseline r.t1_refined r.t1_measured)
-              t.Experiment.t1_rows
-        | other -> Printf.printf "unknown experiment %s\n" other)
-      wanted
+      (fun (e : Experiment.entry) -> Experiment.print (e.run ()))
+      entries
   in
   Cmd.v (Cmd.info "report" ~doc:"Reproduce the paper's tables and figures")
     Term.(const run $ which $ faults_arg $ backend_arg)
@@ -1071,30 +1030,15 @@ let cachestats_cmd =
     apply_backend backend;
     Dataset.cache_clear ();
     Experiment.loocv_cache_clear ();
-    (* The paper's experiment grid: F1..F5, T2, A1 and A4 share the
-       (neon-a57, llv) sample set; F6..F8 share (xeon-avx2, slp).  Run
-       them all and report how much of the sample pipeline was shared. *)
-    let drivers =
-      [ ("f1", fun () -> ignore (Experiment.f1 ()));
-        ("f2", fun () -> ignore (Experiment.f2 ()));
-        ("f3", fun () -> ignore (Experiment.f3 ()));
-        ("f4", fun () -> ignore (Experiment.f4 ()));
-        ("f5", fun () -> ignore (Experiment.f5 ()));
-        ("f6", fun () -> ignore (Experiment.f6 ()));
-        ("f7", fun () -> ignore (Experiment.f7 ()));
-        ("f8", fun () -> ignore (Experiment.f8 ()));
-        ("f9", fun () -> ignore (Experiment.f9 ()));
-        ("t2", fun () -> ignore (Experiment.t2 ()));
-        ("a1", fun () -> ignore (Experiment.a1 ()));
-        ("a4", fun () -> ignore (Experiment.a4 ())) ]
-    in
+    (* The registry reuses a few (machine, transform) sample sets, so most
+       of its builds should hit the cache. *)
     List.iter
-      (fun (id, f) ->
-        f ();
+      (fun (e : Experiment.entry) ->
+        ignore (e.run ());
         let s = Dataset.cache_stats () in
-        Printf.printf "after %-3s  %6d hits %6d misses %6d entries\n" id
+        Printf.printf "after %-3s  %6d hits %6d misses %6d entries\n" e.id
           s.Dataset.hits s.Dataset.misses s.Dataset.entries)
-      drivers;
+      Experiment.registry;
     Printf.printf "domain pool: %d worker(s)\n" (Vpar.Pool.default_size ());
     print_endline (Report.cache_stats_string ());
     (match Dataset.cache_backends () with
@@ -1111,7 +1055,7 @@ let cachestats_cmd =
   Cmd.v
     (Cmd.info "cachestats"
        ~doc:
-         "Run the experiment grid against the shared sample cache and \
+         "Run every registry experiment against the shared sample cache and \
           report hit/miss counters and the per-backend sample breakdown")
     Term.(const run $ backend_arg)
 

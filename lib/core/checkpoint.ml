@@ -8,7 +8,7 @@
    intact.
 
    The journal records completed units of a long run ([bench json]
-   experiments) so a restart resumes instead of recomputing.  Each entry
+   rows) so a restart resumes instead of recomputing.  Each entry
    is one line — [v1 TAB id TAB md5(payload) TAB escaped-payload] — and
    loading drops any line whose checksum does not match, so a crash that
    truncates the final line costs exactly that entry, never the file. *)

@@ -19,7 +19,7 @@ let std = Format.std_formatter
 
 let print_header ?(ppf = std) (r : result) =
   Format.fprintf ppf "\n== %s: %s ==\n" r.id r.title;
-  Format.fprintf ppf "   machine %s, transform %s, %d vectorizable TSVC kernels\n"
+  Format.fprintf ppf "   machine %s, transform %s, %d vectorizable kernels\n"
     r.machine r.transform r.n_samples
 
 let print_rows ?(ppf = std) (r : result) =
@@ -171,7 +171,7 @@ let histogram ?(ppf = std) ?(bins = 12) ?(width = 40) ~label (xs : float array) 
 
 (* --- sample-cache report ---------------------------------------------------
    One line summarizing Dataset's memo cache, printed by the CLI's
-   [cachestats] subcommand and by the bench harness after a run. *)
+   [cachestats] subcommand. *)
 
 let cache_stats_string () =
   let s = Dataset.cache_stats () in

@@ -4,8 +4,8 @@
    (seeded exponential interarrivals), a FIFO queue in front of a few
    virtual servers, and the engine's own virtual service times.  Every
    number it reports is a pure function of (seed, config, fault plan), so
-   the bench harness can publish SERVE rows that are byte-stable across
-   worker counts, and CI can pin a seeded chaos run and assert its gate.
+   its results are byte-stable across worker counts, and CI can pin a
+   seeded chaos run and assert its gate.
 
    The socket mode is the honest half: a real client against a real
    daemon, wall-clock latencies, and the zero-lost check done by matching

@@ -6,7 +6,7 @@
     queue limit, and latencies measured on the virtual clock.  Because no
     wall time enters, the result — including the p50/p99 — is
     byte-identical across machines and worker counts, which is what lets
-    [bench json] publish SERVE rows and lets CI pin a seeded chaos run.
+    CI pin a seeded chaos run.
 
     [run_socket] is the real client for a running daemon: it floods the
     socket with the same request mix, matches responses by id and reports
