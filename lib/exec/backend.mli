@@ -22,10 +22,17 @@ type prepared
 (** A kernel lowered (and for [Closure], compiled) once for repeated
     execution; [run_in] only rebinds to the environment. *)
 
-val prepare : ?license:License.t -> t -> Vir.Kernel.t -> prepared
+val prepare :
+  ?license:License.t ->
+  ?trace:(int -> int -> bool -> unit) ->
+  t -> Vir.Kernel.t -> prepared
 (** [license] is a static safety certificate for the kernel; only the
     closure tier consults it (see {!Closure.run_bound}), the fully guarded
-    interpreter ignores it. *)
+    interpreter ignores it.  [trace slot idx is_write] is called before each
+    memory access's bounds check, in body order, with [slot] a
+    {!Program.array_slot}; both tiers report the same stream, traps
+    included.  On [Closure] a trace compiles the guarded nest alone, once;
+    without one, the checked and unchecked nests are compiled. *)
 
 val backend_of : prepared -> t
 val kernel_of : prepared -> Vir.Kernel.t

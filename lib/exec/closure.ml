@@ -22,7 +22,8 @@ module Env = Vinterp.Env
    [unchecked] only when [affine_safe] proves, from the bound loop ranges
    and access coefficients, that every affine index stays inside its array
    for the whole iteration space; indirect (gather/scatter) accesses keep
-   their guards in both variants. *)
+   their guards in both variants.  A traced compilation is the guarded nest
+   alone, in both fields. *)
 type t = { checked : unit -> unit; unchecked : unit -> unit }
 
 let nop () = ()
@@ -84,7 +85,7 @@ let seq fs =
           (Array.unsafe_get fs k) ()
         done
 
-let compile_body ~check (st : Flat.state) =
+let compile_body ~check ?trace (st : Flat.state) =
   let prog = st.prog in
   let f = st.fregs and i = st.iregs in
   let ivs = st.ivs in
@@ -127,12 +128,30 @@ let compile_body ~check (st : Flat.state) =
             !s
     end
   in
+  (* A traced access reports (array slot, index, is_write) after computing
+     its index and before the bounds check, as [Env.read_*]/[write_*] do, so
+     a trapping access is traced too. *)
+  let index_of ~write a =
+    let addr = compile_addr a in
+    match trace with
+    | None -> addr
+    | Some hook ->
+        let slot = prog.accesses.(a).acc_arr in
+        fun () ->
+          let idx = addr () in
+          hook slot idx write;
+          idx
+  in
+  let load_index = index_of ~write:false
+  and store_index = index_of ~write:true in
   (* The two hot address shapes — indirect and single-term affine — are
      inlined into the load/store closures below, saving one indirect call
-     per access per iteration; everything else goes through [compile_addr]. *)
+     per access per iteration; everything else, and every traced access,
+     goes through [index_of]. *)
   let shape a =
     let acc = prog.accesses.(a) in
-    if acc.acc_ind >= 0 then `Ind acc.acc_ind
+    if Option.is_some trace then `Other
+    else if acc.acc_ind >= 0 then `Ind acc.acc_ind
     else if Array.length st.acc_coeff.(a) = 1 then
       `Aff1 (st.acc_coeff.(a), st.acc_depth.(a).(0))
     else `Other
@@ -317,12 +336,12 @@ let compile_body ~check (st : Flat.state) =
                   Array.unsafe_set f d
                     (Array.unsafe_get (Array.unsafe_get arr_f slot) idx)
             | `Other when not check ->
-                let addr = compile_addr a in
+                let addr = load_index a in
                 fun () ->
                   Array.unsafe_set f d
                     (Array.unsafe_get (Array.unsafe_get arr_f slot) (addr ()))
             | `Other ->
-                let addr = compile_addr a in
+                let addr = load_index a in
                 fun () ->
                   let idx = addr () in
                   if idx < 0 || idx >= Array.unsafe_get arr_len slot then
@@ -362,13 +381,13 @@ let compile_body ~check (st : Flat.state) =
                     (float_of_int
                        (Array.unsafe_get (Array.unsafe_get arr_i slot) idx))
             | `Other when not check ->
-                let addr = compile_addr a in
+                let addr = load_index a in
                 fun () ->
                   Array.unsafe_set f d
                     (float_of_int
                        (Array.unsafe_get (Array.unsafe_get arr_i slot) (addr ())))
             | `Other ->
-                let addr = compile_addr a in
+                let addr = load_index a in
                 fun () ->
                   let idx = addr () in
                   if idx < 0 || idx >= Array.unsafe_get arr_len slot then
@@ -409,13 +428,13 @@ let compile_body ~check (st : Flat.state) =
                     (int_of_float
                        (Array.unsafe_get (Array.unsafe_get arr_f slot) idx))
             | `Other when not check ->
-                let addr = compile_addr a in
+                let addr = load_index a in
                 fun () ->
                   Array.unsafe_set i d
                     (int_of_float
                        (Array.unsafe_get (Array.unsafe_get arr_f slot) (addr ())))
             | `Other ->
-                let addr = compile_addr a in
+                let addr = load_index a in
                 fun () ->
                   let idx = addr () in
                   if idx < 0 || idx >= Array.unsafe_get arr_len slot then
@@ -453,12 +472,12 @@ let compile_body ~check (st : Flat.state) =
                   Array.unsafe_set i d
                     (Array.unsafe_get (Array.unsafe_get arr_i slot) idx)
             | `Other when not check ->
-                let addr = compile_addr a in
+                let addr = load_index a in
                 fun () ->
                   Array.unsafe_set i d
                     (Array.unsafe_get (Array.unsafe_get arr_i slot) (addr ()))
             | `Other ->
-                let addr = compile_addr a in
+                let addr = load_index a in
                 fun () ->
                   let idx = addr () in
                   if idx < 0 || idx >= Array.unsafe_get arr_len slot then
@@ -498,13 +517,13 @@ let compile_body ~check (st : Flat.state) =
                     (Array.unsafe_get arr_f slot)
                     idx (Array.unsafe_get f b)
             | `Other when not check ->
-                let addr = compile_addr a in
+                let addr = store_index a in
                 fun () ->
                   Array.unsafe_set
                     (Array.unsafe_get arr_f slot)
                     (addr ()) (Array.unsafe_get f b)
             | `Other ->
-                let addr = compile_addr a in
+                let addr = store_index a in
                 fun () ->
                   let idx = addr () in
                   if idx < 0 || idx >= Array.unsafe_get arr_len slot then
@@ -548,14 +567,14 @@ let compile_body ~check (st : Flat.state) =
                     idx
                     (int_of_float (Array.unsafe_get f b))
             | `Other when not check ->
-                let addr = compile_addr a in
+                let addr = store_index a in
                 fun () ->
                   Array.unsafe_set
                     (Array.unsafe_get arr_i slot)
                     (addr ())
                     (int_of_float (Array.unsafe_get f b))
             | `Other ->
-                let addr = compile_addr a in
+                let addr = store_index a in
                 fun () ->
                   let idx = addr () in
                   if idx < 0 || idx >= Array.unsafe_get arr_len slot then
@@ -600,14 +619,14 @@ let compile_body ~check (st : Flat.state) =
                     idx
                     (float_of_int (Array.unsafe_get i b))
             | `Other when not check ->
-                let addr = compile_addr a in
+                let addr = store_index a in
                 fun () ->
                   Array.unsafe_set
                     (Array.unsafe_get arr_f slot)
                     (addr ())
                     (float_of_int (Array.unsafe_get i b))
             | `Other ->
-                let addr = compile_addr a in
+                let addr = store_index a in
                 fun () ->
                   let idx = addr () in
                   if idx < 0 || idx >= Array.unsafe_get arr_len slot then
@@ -649,13 +668,13 @@ let compile_body ~check (st : Flat.state) =
                     (Array.unsafe_get arr_i slot)
                     idx (Array.unsafe_get i b)
             | `Other when not check ->
-                let addr = compile_addr a in
+                let addr = store_index a in
                 fun () ->
                   Array.unsafe_set
                     (Array.unsafe_get arr_i slot)
                     (addr ()) (Array.unsafe_get i b)
             | `Other ->
-                let addr = compile_addr a in
+                let addr = store_index a in
                 fun () ->
                   let idx = addr () in
                   if idx < 0 || idx >= Array.unsafe_get arr_len slot then
@@ -696,8 +715,9 @@ let compile_body ~check (st : Flat.state) =
   seq (Array.append closures red_closures)
 
 (* Wrap the body in loop drivers, innermost outward, specializing on which
-   mirror slots the body actually reads. *)
-let compile (st : Flat.state) =
+   mirror slots the body actually reads.  A traced nest is compiled once,
+   guarded, and fills both fields: it is never licensed to drop a check. *)
+let compile ?trace (st : Flat.state) =
   let prog = st.prog in
   let bounds = st.bounds and ivs = st.ivs in
   let f = st.fregs and i = st.iregs in
@@ -750,10 +770,14 @@ let compile (st : Flat.state) =
         done
   in
   let rec build check depth =
-    if depth = Array.length prog.loops then compile_body ~check st
+    if depth = Array.length prog.loops then compile_body ~check ?trace st
     else wrap depth (build check (depth + 1))
   in
-  { checked = build true 0; unchecked = build false 0 }
+  match trace with
+  | None -> { checked = build true 0; unchecked = build false 0 }
+  | Some _ ->
+      let traced = build true 0 in
+      { checked = traced; unchecked = traced }
 
 (* Can the unchecked body run?  True when every affine access provably stays
    inside [0, len) over the bound iteration space: the index is monotone in

@@ -9,9 +9,12 @@ type t = { checked : unit -> unit; unchecked : unit -> unit }
     [affine_safe] holds for the current binding.  Indirect accesses stay
     guarded in both. *)
 
-val compile : Flat.state -> t
+val compile : ?trace:(int -> int -> bool -> unit) -> Flat.state -> t
 (** Compile the full loop nest (body + reduction folds) of the state's
-    program.  The result mutates the state's bound environment when run. *)
+    program.  The result mutates the state's bound environment when run.
+    With [trace], only the guarded nest is compiled, and it fills both
+    fields; it calls [trace slot idx is_write] before each memory access's
+    bounds check, in body order, with [slot] a {!Program.array_slot}. *)
 
 val affine_safe : Flat.state -> bool
 (** Whether every affine access of the bound state provably stays inside its

@@ -8,7 +8,8 @@ type t
 (** @raise Invalid_argument when the geometry is inconsistent. *)
 val create : config -> t
 
-(** Touch one byte address; true on hit.  Misses install the line (LRU). *)
+(** Touch one byte address; true on hit.  Misses install the line (LRU).
+    @raise Invalid_argument on a negative address. *)
 val access : t -> int -> bool
 
 val accesses : t -> int
@@ -23,6 +24,3 @@ val hierarchy : config list -> hierarchy
 
 (** Index of the level that hit (= number of levels on a full miss). *)
 val hierarchy_access : hierarchy -> int -> int
-
-(** Per-level (accesses, misses). *)
-val level_stats : hierarchy -> (int * int) list

@@ -1,9 +1,10 @@
 (* Interp-vs-closure equivalence for the execution engine (lib/exec).
 
    The closure tier must reproduce the reference interpreter bit-for-bit
-   — final memory image, reduction values, execution digest, and trap
-   behaviour — on the full TSVC registry (plus normalized and unrolled
-   variants) and on 550 generated kernels per run.  Seeded mis-lowerings
+   — final memory image, reduction values, execution digest, trap
+   behaviour, and the access stream a [prepare ~trace] hook sees — on the
+   full TSVC registry (plus normalized and unrolled variants) and on 550
+   generated kernels per run.  Seeded mis-lowerings
    (corrupted access stride, wrong reduction init) run through the same
    closure compiler must be caught by the same comparison, and samples
    built through [Dataset] must be deterministic in backend, digest and
@@ -26,9 +27,9 @@ let check_string = Alcotest.(check string)
 let float_eq x y = x = y || (Float.is_nan x && Float.is_nan y)
 
 type outcome =
-  | Ran of (string * float array) list * (string * float) list * string
-      (* snapshot, reductions, digest *)
-  | Trapped of string
+  | Ran of (string * float array) list * (string * float) list * string * string
+      (* snapshot, reductions, digest, trace fingerprint *)
+  | Trapped of string * string  (* trap class, trace fingerprint *)
 
 (* Traps must agree across backends: out-of-bounds exactly (same array,
    same index), other [Invalid_argument] traps by class (operand
@@ -39,23 +40,53 @@ let classify = function
   | Invalid_argument _ -> "invalid_arg"
   | e -> raise e
 
+(* A traced run over a fresh environment, fingerprinted: the access count,
+   an order-sensitive hash of every (slot, index, is_write) reported, and
+   how the run ended (digest, or trap class), so the prefix traced before a
+   trap is pinned too.  [run trace env] executes the traced nest. *)
+let fingerprint ~n k run =
+  let count = ref 0 and h = ref 0 in
+  let trace slot idx write =
+    incr count;
+    h := Hashtbl.hash (!h, slot, idx, write)
+  in
+  let ending =
+    match
+      let env = Env.create ~n k in
+      Backend.digest env (run trace env)
+    with
+    | d -> d
+    | exception e -> classify e
+  in
+  Printf.sprintf "%d accesses, hash %x, %s" !count !h ending
+
+let trace_fingerprint backend ~n k =
+  fingerprint ~n k (fun trace env ->
+      Backend.run_in (Backend.prepare ~trace backend k) env)
+
 let run_on backend ~n k =
+  let trace = trace_fingerprint backend ~n k in
   match Backend.run ~n backend k with
   | r ->
       Ran
         ( Env.snapshot r.Vinterp.Interp.env,
           r.Vinterp.Interp.reductions,
-          Backend.digest r.Vinterp.Interp.env r.Vinterp.Interp.reductions )
-  | exception e -> Trapped (classify e)
+          Backend.digest r.Vinterp.Interp.env r.Vinterp.Interp.reductions,
+          trace )
+  | exception e -> Trapped (classify e, trace)
 
 let outcome_mismatch ref_out out =
+  let trace_mismatch t1 t2 =
+    if String.equal t1 t2 then None
+    else Some (Printf.sprintf "traced stream %s vs %s" t1 t2)
+  in
   match (ref_out, out) with
-  | Trapped a, Trapped b ->
-      if String.equal a b then None
+  | Trapped (a, t1), Trapped (b, t2) ->
+      if String.equal a b then trace_mismatch t1 t2
       else Some (Printf.sprintf "trap %s vs %s" a b)
-  | Trapped a, Ran _ -> Some (Printf.sprintf "ref trapped (%s), backend ran" a)
-  | Ran _, Trapped b -> Some (Printf.sprintf "ref ran, backend trapped (%s)" b)
-  | Ran (s1, r1, d1), Ran (s2, r2, d2) ->
+  | Trapped (a, _), Ran _ -> Some (Printf.sprintf "ref trapped (%s), backend ran" a)
+  | Ran _, Trapped (b, _) -> Some (Printf.sprintf "ref ran, backend trapped (%s)" b)
+  | Ran (s1, r1, d1, t1), Ran (s2, r2, d2, t2) ->
       let arr_bad =
         List.length s1 <> List.length s2
         || List.exists2
@@ -75,7 +106,7 @@ let outcome_mismatch ref_out out =
       if arr_bad then Some "memory image differs"
       else if red_bad then Some "reductions differ"
       else if not (String.equal d1 d2) then Some "digest differs"
-      else None
+      else trace_mismatch t1 t2
 
 (* Interp is the oracle; the closure tier must match it. *)
 let assert_equiv ~what ~n k =
@@ -226,9 +257,15 @@ let run_program p k ~n =
   let reds = Closure.run_in st (Closure.compile st) env in
   Backend.digest env reds
 
-(* Corrupting one affine coefficient must change the digest: proves the
-   equivalence harness can see a mis-lowered stride, i.e. the suite is not
-   vacuously green. *)
+(* The fingerprint of [p]'s traced nest. *)
+let trace_program p k ~n =
+  fingerprint ~n k (fun trace env ->
+      let st = Flat.create p in
+      Closure.run_in st (Closure.compile ~trace st) env)
+
+(* Corrupting one affine coefficient must change the digest and the traced
+   stream: proves the equivalence harness can see a mis-lowered stride,
+   i.e. the suite is not vacuously green. *)
 let test_seeded_stride_bug () =
   let k = strided_kernel () in
   let n = 64 in
@@ -236,8 +273,11 @@ let test_seeded_stride_bug () =
     let r = Vinterp.Interp.run ~n k in
     Backend.digest r.Vinterp.Interp.env r.Vinterp.Interp.reductions
   in
+  let reference_trace = trace_fingerprint Backend.Interp ~n k in
   let good = run_program (Program.lower k) k ~n in
   check_string "uncorrupted program matches interp" reference good;
+  check_string "uncorrupted traced nest matches interp" reference_trace
+    (trace_program (Program.lower k) k ~n);
   let p = Program.lower k in
   let corrupted = ref false in
   Array.iter
@@ -256,7 +296,9 @@ let test_seeded_stride_bug () =
     | d -> d
     | exception (Env.Out_of_bounds _ | Invalid_argument _) -> "trap"
   in
-  check "stride bug detected by digest" false (String.equal reference bad)
+  check "stride bug detected by digest" false (String.equal reference bad);
+  check "stride bug changes the traced stream" false
+    (String.equal reference_trace (trace_program p k ~n))
 
 (* Same for a reduction lowered with the wrong initial value. *)
 let test_seeded_reduction_bug () =
