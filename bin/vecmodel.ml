@@ -96,6 +96,67 @@ let method_arg =
     & info [ "method" ] ~docv:"M"
         ~doc:"Fitting method: l2, nnls, svr or huber (robust IRLS).")
 
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the output as JSON on stdout.")
+
+(* --- kernels -----------------------------------------------------------------
+   Names resolve while the command line is parsed, so an unknown kernel is a
+   usage error (exit 124) before anything runs.  A registry is a
+   description and its entries: effects, opt and certify also take the
+   application kernels. *)
+
+let tsvc_registry = ("the TSVC registry", Tsvc.Registry.all)
+
+let full_registry =
+  ( "the TSVC and application registries",
+    Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries )
+
+let kernel_conv (_, entries) =
+  let parse name =
+    match
+      List.find_opt
+        (fun (e : Tsvc.Registry.entry) ->
+          String.equal e.kernel.Vir.Kernel.name name)
+        entries
+    with
+    | Some e -> Ok e
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "unknown kernel %s (try `vecmodel list`)" name))
+  in
+  Arg.conv
+    ( parse,
+      fun fmt (e : Tsvc.Registry.entry) ->
+        Format.pp_print_string fmt e.kernel.Vir.Kernel.name )
+
+let kernel_arg registry =
+  Arg.(
+    required
+    & pos 0 (some (kernel_conv registry)) None
+    & info [] ~docv:"KERNEL" ~doc:"Kernel name, e.g. s000.")
+
+(* The kernels named by KERNEL or --all; neither means all. *)
+let kernels_arg ((name, entries) as registry) =
+  let kernel =
+    Arg.(
+      value
+      & pos 0 (some (kernel_conv registry)) None
+      & info [] ~docv:"KERNEL" ~doc:"Kernel name, e.g. s000 (omit with --all).")
+  in
+  let all =
+    Arg.(
+      value & flag
+      & info [ "all"; "a" ] ~doc:(Printf.sprintf "Every kernel in %s." name))
+  in
+  let resolve kernel all =
+    match (kernel, all) with
+    | Some _, true -> Error "pass either KERNEL or --all, not both"
+    | Some (e : Tsvc.Registry.entry), false -> Ok [ e.kernel ]
+    | None, _ ->
+        Ok (List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries)
+  in
+  Term.(term_result' (const resolve $ kernel $ all))
+
 (* --- fault plans ------------------------------------------------------------
    [--faults SPEC] overrides the [VECMODEL_FAULTS] environment plan for
    this invocation; an explicit empty spec ([--faults ""]) disables
@@ -238,20 +299,13 @@ let list_cmd =
 
 (* --- show ----------------------------------------------------------------- *)
 
-let kernel_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"KERNEL" ~doc:"TSVC kernel name, e.g. s000.")
-
 let show_cmd =
   let asm_arg =
     Arg.(
       value & flag
       & info [ "asm" ] ~doc:"Also print pseudo-assembly (scalar and vectorized).")
   in
-  let run name asm machine =
-    let e = Tsvc.Registry.find_exn name in
+  let run (e : Tsvc.Registry.entry) asm machine =
     print_endline (Vir.Pp.kernel_to_string e.kernel);
     if asm then begin
       let style =
@@ -286,21 +340,11 @@ let show_cmd =
     Format.printf "features: %a@." Feature.pp (Feature.counts e.kernel)
   in
   Cmd.v (Cmd.info "show" ~doc:"Print a kernel's IR, dependences and features")
-    Term.(const run $ kernel_arg $ asm_arg $ machine_arg)
+    Term.(const run $ kernel_arg tsvc_registry $ asm_arg $ machine_arg)
 
 (* --- lint ----------------------------------------------------------------- *)
 
 let lint_cmd =
-  let kernel_opt =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"KERNEL" ~doc:"TSVC kernel to lint (omit with --all).")
-  in
-  let all_flag =
-    Arg.(
-      value & flag
-      & info [ "all"; "a" ] ~doc:"Lint every kernel in the TSVC registry.")
-  in
   let lint_transform_conv =
     let parse s =
       match Vanalysis.Driver.transform_of_string s with
@@ -328,42 +372,22 @@ let lint_cmd =
       & info [ "vf" ] ~docv:"N"
           ~doc:"Vectorization factor to validate at (repeatable). Default: 2 4 8.")
   in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the reports as a JSON array on stdout.")
-  in
   let verbose_flag =
     Arg.(
       value & flag
       & info [ "verbose"; "v" ]
           ~doc:"Also print Info diagnostics and skipped configurations.")
   in
-  let run kernel all transforms vfs json verbose =
+  let run kernels transforms vfs json verbose =
     (match List.find_opt (fun vf -> vf < 2) vfs with
     | Some vf ->
         Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
         exit 124
     | None -> ());
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match Tsvc.Registry.find name with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> Tsvc.Registry.all
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
     let transforms = if transforms = [] then None else Some transforms in
     let vfs = if vfs = [] then None else Some vfs in
     let reports =
-      Vanalysis.Driver.lint_kernels ?transforms ?vfs
-        (List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries)
+      Vanalysis.Driver.lint_kernels ?transforms ?vfs kernels
     in
     if json then
       print_json (Vjson.List (List.map Vanalysis.Driver.report_to_json reports))
@@ -379,28 +403,12 @@ let lint_cmd =
          "Run the static-analysis lints and the vector-IR validator over \
           kernels")
     Term.(
-      const run $ kernel_opt $ all_flag $ transforms_arg $ vfs_arg $ json_flag
-      $ verbose_flag)
+      const run $ kernels_arg tsvc_registry $ transforms_arg $ vfs_arg
+      $ json_arg $ verbose_flag)
 
 (* --- deps ----------------------------------------------------------------- *)
 
 let deps_cmd =
-  let kernel_opt =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"KERNEL"
-          ~doc:"TSVC kernel to analyze (omit with --all).")
-  in
-  let all_flag =
-    Arg.(
-      value & flag
-      & info [ "all"; "a" ] ~doc:"Analyze every kernel in the TSVC registry.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the summaries as a JSON array on stdout.")
-  in
   let crosscheck_flag =
     Arg.(
       value & flag
@@ -419,29 +427,12 @@ let deps_cmd =
             "Vectorization factor for the cross-check (repeatable). \
              Default: 2 4 8.")
   in
-  let run kernel all json crosscheck vfs =
+  let run kernels json crosscheck vfs =
     (match List.find_opt (fun vf -> vf < 2) vfs with
     | Some vf ->
         Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
         exit 124
     | None -> ());
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match Tsvc.Registry.find name with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> Tsvc.Registry.all
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
-    let kernels =
-      List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries
-    in
     let vfs = if vfs = [] then None else Some vfs in
     if crosscheck then begin
       let configs = Vanalysis.Depsreport.crosscheck ?vfs kernels in
@@ -489,28 +480,12 @@ let deps_cmd =
          "Nest-wide dependence graph, idiom tags and the legality verdict \
           space; optionally cross-check the oracle against the validator")
     Term.(
-      const run $ kernel_opt $ all_flag $ json_flag $ crosscheck_flag $ vfs_arg)
+      const run $ kernels_arg tsvc_registry $ json_arg $ crosscheck_flag
+      $ vfs_arg)
 
 (* --- effects ----------------------------------------------------------------- *)
 
 let effects_cmd =
-  let kernel_opt =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"KERNEL"
-          ~doc:"Kernel to analyze (omit with --all).")
-  in
-  let all_flag =
-    Arg.(
-      value & flag
-      & info [ "all"; "a" ]
-          ~doc:"Analyze every kernel in the TSVC + apps registry.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the summaries as a JSON array on stdout.")
-  in
   let crosscheck_flag =
     Arg.(
       value & flag
@@ -537,35 +512,12 @@ let effects_cmd =
       & info [ "n" ] ~docv:"N"
           ~doc:"Problem size the affine regions are computed at.")
   in
-  let run kernel all json crosscheck vfs n =
+  let run kernels json crosscheck vfs n =
     (match List.find_opt (fun vf -> vf < 2) vfs with
     | Some vf ->
         Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
         exit 124
     | None -> ());
-    let registry = Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries in
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match
-            List.find_opt
-              (fun (e : Tsvc.Registry.entry) ->
-                String.equal e.kernel.Vir.Kernel.name name)
-              registry
-          with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> registry
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
-    let kernels =
-      List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries
-    in
     let vfs = if vfs = [] then None else Some vfs in
     if crosscheck then begin
       let configs = Vanalysis.Effect.crosscheck ?vfs kernels in
@@ -608,7 +560,7 @@ let effects_cmd =
           regions and buffer ownership; optionally cross-check stability \
           under every transform x VF against observed access traces")
     Term.(
-      const run $ kernel_opt $ all_flag $ json_flag $ crosscheck_flag
+      const run $ kernels_arg full_registry $ json_arg $ crosscheck_flag
       $ vfs_arg $ effects_n_arg)
 
 (* --- absint ------------------------------------------------------------------ *)
@@ -627,25 +579,12 @@ let absint_cmd =
       value & opt int Vanalysis.Absint.default_n
       & info [ "n" ] ~docv:"N" ~doc:"Problem size to analyze at.")
   in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the summary as JSON on stdout.")
-  in
-  let run name vf n json =
+  let run (entry : Tsvc.Registry.entry) vf n json =
     (match vf with
     | Some v when v < 2 ->
         Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" v;
         exit 124
     | _ -> ());
-    let entry =
-      match Tsvc.Registry.find name with
-      | Some e -> e
-      | None ->
-          Printf.eprintf "vecmodel: unknown kernel %s (try `vecmodel list`)\n"
-            name;
-          exit 124
-    in
     let summary = Vanalysis.Absint.analyze ?vf ~n entry.kernel in
     if json then print_json (Vanalysis.Absint.summary_to_json summary)
     else Vanalysis.Absint.print_summary summary
@@ -655,27 +594,12 @@ let absint_cmd =
        ~doc:
          "Abstract interpretation of one kernel: register value ranges, \
           per-access alignment congruences and trip-count facts")
-    Term.(const run $ kernel_arg $ vf_arg $ absint_n_arg $ json_flag)
+    Term.(
+      const run $ kernel_arg tsvc_registry $ vf_arg $ absint_n_arg $ json_arg)
 
 (* --- opt -------------------------------------------------------------------- *)
 
 let opt_cmd =
-  let kernel_opt =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"KERNEL" ~doc:"Kernel to normalize (omit with --all).")
-  in
-  let all_flag =
-    Arg.(
-      value & flag
-      & info [ "all"; "a" ]
-          ~doc:"Normalize every kernel in the TSVC and application registries.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the reports as a JSON array on stdout.")
-  in
   let validate_flag =
     Arg.(
       value & flag
@@ -684,29 +608,8 @@ let opt_cmd =
             "Also check every pass against the reference interpreter and \
              exit 1 on any semantic diff.")
   in
-  let run kernel all json validate backend =
+  let run ks json validate backend =
     apply_backend backend;
-    let registry = Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries in
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match
-            List.find_opt
-              (fun (e : Tsvc.Registry.entry) ->
-                String.equal e.kernel.Vir.Kernel.name name)
-              registry
-          with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> registry
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
-    let ks = List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries in
     let reports = Vanalysis.Opt.run_all ks in
     if json then
       print_json (Vjson.List (List.map Vanalysis.Opt.report_to_json reports))
@@ -724,35 +627,18 @@ let opt_cmd =
        ~doc:
          "Run the SSA optimization pipeline on kernels: per-pass instruction \
           deltas and the before/after instruction-class mix")
-    Term.(const run $ kernel_opt $ all_flag $ json_flag $ validate_flag $ backend_arg)
+    Term.(
+      const run $ kernels_arg full_registry $ json_arg $ validate_flag
+      $ backend_arg)
 
 (* --- certify ---------------------------------------------------------------- *)
 
 let certify_cmd =
-  let kernel_opt =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"KERNEL" ~doc:"Kernel to certify (omit with --all).")
-  in
-  let all_flag =
-    Arg.(
-      value & flag
-      & info [ "all"; "a" ]
-          ~doc:"Certify every kernel in the TSVC and application registries.")
-  in
   let vf_arg =
     Arg.(
       value & opt int Vanalysis.Cert.default_vf
       & info [ "vf" ] ~docv:"N"
           ~doc:"Vector factor for the alignment annotations. Default: 4.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the certificates as a JSON array on stdout (deterministic \
-             across worker counts).")
   in
   let gate_flag =
     Arg.(
@@ -764,34 +650,14 @@ let certify_cmd =
              certified-fraction floor, and require the static certificates \
              to beat the bind-time interval check. Exit 1 on any failure.")
   in
-  let run kernel all vf json gate =
+  let run kernels vf json gate =
     if vf < 2 then begin
       Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
       exit 124
     end;
-    let registry = Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries in
-    let entries =
-      match (kernel, all) with
-      | Some name, false -> (
-          match
-            List.find_opt
-              (fun (e : Tsvc.Registry.entry) ->
-                String.equal e.kernel.Vir.Kernel.name name)
-              registry
-          with
-          | Some e -> [ e ]
-          | None ->
-              Printf.eprintf
-                "vecmodel: unknown kernel %s (try `vecmodel list`)\n" name;
-              exit 124)
-      | None, true | None, false -> registry
-      | Some _, true ->
-          Printf.eprintf "vecmodel: pass either KERNEL or --all, not both\n";
-          exit 124
-    in
     let ks =
-      List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) entries
-      |> List.sort (fun (a : Vir.Kernel.t) b -> String.compare a.name b.name)
+      List.sort (fun (a : Vir.Kernel.t) b -> String.compare a.name b.name)
+        kernels
     in
     let pairs = Vanalysis.Cert.certify_batch ~vf ks in
     if json then
@@ -847,14 +713,13 @@ let certify_cmd =
          "Emit static safety certificates: relational bounds verdicts per \
           access, the guard-free license, and the soundness gate")
     Term.(
-      const run $ kernel_opt $ all_flag $ vf_arg $ json_flag $ gate_flag)
+      const run $ kernels_arg full_registry $ vf_arg $ json_arg $ gate_flag)
 
 (* --- simulate --------------------------------------------------------------- *)
 
 let simulate_cmd =
-  let run name machine n transform faults =
+  let run (e : Tsvc.Registry.entry) machine n transform faults =
     apply_faults faults;
-    let e = Tsvc.Registry.find_exn name in
     let vf = Vmachine.Descr.vf_for_kernel machine e.kernel in
     let vk =
       match transform with
@@ -868,8 +733,8 @@ let simulate_cmd =
           | Error err -> failwith (Vvect.Slp.error_to_string err))
     in
     let m = Vmachine.Measure.measure machine ~n vk in
-    Printf.printf "kernel %s on %s (%s, VF %d, n = %d)\n" name
-      machine.Vmachine.Descr.name
+    Printf.printf "kernel %s on %s (%s, VF %d, n = %d)\n"
+      e.kernel.Vir.Kernel.name machine.Vmachine.Descr.name
       (Dataset.transform_to_string transform)
       vf n;
     Printf.printf "  scalar cycles   %14.0f\n" m.Vmachine.Measure.scalar_cycles;
@@ -880,7 +745,8 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Measure one kernel on a machine model")
     Term.(
-      const run $ kernel_arg $ machine_arg $ n_arg $ transform_arg $ faults_arg)
+      const run $ kernel_arg tsvc_registry $ machine_arg $ n_arg
+      $ transform_arg $ faults_arg)
 
 (* --- fit / loocv --------------------------------------------------------------- *)
 
@@ -948,22 +814,24 @@ let predict_cmd =
       & opt (some string) None
       & info [ "model" ] ~docv:"FILE" ~doc:"Model file written by fit --save.")
   in
-  let run name model_path machine n transform backend =
+  let run (entry : Tsvc.Registry.entry) model_path machine n transform
+      backend =
     apply_backend backend;
     match Linmodel.load model_path with
     | Error e -> failwith e
     | Ok m -> (
-        let entry = Tsvc.Registry.find_exn name in
         match Dataset.build ~machine ~transform ~n [ entry ] with
         | [ sample ] ->
             Printf.printf "kernel %s: predicted speedup %.2f (measured %.2f)\n"
-              name (Linmodel.predict m sample) sample.Dataset.measured
+              entry.kernel.Vir.Kernel.name (Linmodel.predict m sample)
+              sample.Dataset.measured
         | _ -> failwith "kernel is not vectorizable by this transform")
   in
   Cmd.v
     (Cmd.info "predict" ~doc:"Predict one kernel's speedup with a saved model")
     Term.(
-      const run $ kernel_arg $ model_arg $ machine_arg $ n_arg $ transform_arg
+      const run $ kernel_arg tsvc_registry $ model_arg $ machine_arg $ n_arg
+      $ transform_arg
       $ backend_arg)
 
 let loocv_cmd =
@@ -1191,9 +1059,6 @@ let health_cmd =
             "Measure each kernel K times; repeats outside 3.5 normalized \
              MADs of the median are rejected and counted.")
   in
-  let json_flag =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-  in
   let serve_journal_arg =
     Arg.(
       value
@@ -1314,15 +1179,12 @@ let health_cmd =
           counters")
     Term.(
       const run $ machine_arg $ n_arg $ transform_arg $ repeats_arg
-      $ faults_arg $ backend_arg $ sanitize_arg $ json_flag
+      $ faults_arg $ backend_arg $ sanitize_arg $ json_arg
       $ serve_journal_arg $ serve_connect_arg)
 
 (* --- faults ----------------------------------------------------------------- *)
 
 let faults_cmd =
-  let json_flag =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the plan as JSON.")
-  in
   let run faults json =
     apply_faults faults;
     let plan = Vfault.Inject.active () in
@@ -1374,7 +1236,7 @@ let faults_cmd =
        ~doc:
          "Show the active fault-injection plan (from --faults or \
           VECMODEL_FAULTS) in canonical form")
-    Term.(const run $ faults_arg $ json_flag)
+    Term.(const run $ faults_arg $ json_arg)
 
 (* --- serve / loadtest -------------------------------------------------------
    The serving tier: [serve] runs the daemon, [loadtest] either drives
@@ -1511,9 +1373,6 @@ let loadtest_cmd =
       & info [ "shutdown" ]
           ~doc:"After the stream, ask the daemon to shut down cleanly.")
   in
-  let json_flag =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
-  in
   let p99_arg =
     Arg.(
       value & opt float 0.5
@@ -1601,7 +1460,7 @@ let loadtest_cmd =
       const run $ machine_arg $ features_arg $ model_arg $ queue_arg
       $ deadline_arg $ rate_limit_arg $ journal_arg $ requests_arg $ seed_arg
       $ servers_arg $ arrival_arg $ connect_arg $ port_arg $ shutdown_flag
-      $ json_flag $ p99_arg $ expect_degraded_flag $ expect_clean_flag
+      $ json_arg $ p99_arg $ expect_degraded_flag $ expect_clean_flag
       $ faults_arg)
 
 (* --- export-machine -------------------------------------------------------- *)

@@ -10,7 +10,6 @@ type trip_count =
   | Tc_linear of int  (** n-dependent; the value at the analysis size *)
 
 val trip_count : n:int -> Vir.Kernel.loop -> trip_count
-val trip_count_to_string : trip_count -> string
 
 type access_class =
   | Invariant
@@ -19,8 +18,6 @@ type access_class =
   | Strided of int
   | Row
   | Gather
-
-val access_class_to_string : access_class -> string
 
 (** Congruence of one access's flat index at the vector-block start points
     (the innermost variable advances vf*step per block; parameters are
@@ -58,9 +55,6 @@ type summary = {
 
 (** Problem size the lint passes analyze at. *)
 val default_n : int
-
-(** Default parameter binding of [Vinterp.Env] for a kernel parameter. *)
-val param_value : Vir.Kernel.t -> string -> float option
 
 val analyze : ?vf:int -> n:int -> Vir.Kernel.t -> summary
 

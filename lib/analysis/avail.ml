@@ -98,4 +98,3 @@ let analyze ?df (k : Kernel.t) =
 
 let leader_of t pos = t.leader.(pos)
 let redundant t pos = t.leader.(pos) <> pos
-let available_across t pos = t.across.(pos)

@@ -19,15 +19,8 @@ type t = {
     Pass [?df] to share an existing dataflow analysis. *)
 val analyze : ?df:Dataflow.t -> Kernel.t -> t
 
-(** Canonical (leader-substituted, commutativity-sorted, address-normalized)
-    form of an instruction — the value-numbering hash key. *)
-val canonical : int array -> Instr.t -> Instr.t
-
 (** Earliest dominating position computing the same value. *)
 val leader_of : t -> int -> int
 
 (** True when the position recomputes an already-available value. *)
 val redundant : t -> int -> bool
-
-(** True when the position's value survives the innermost back edge. *)
-val available_across : t -> int -> bool

@@ -153,12 +153,6 @@ let license (c : t) =
          | Vunknown -> Vexec.License.Unknown)
        c.ct_accesses)
 
-(* Number of accesses the certificate licenses to run unguarded: for a
-   guard-free kernel that is every proven access (indirect [Vsafe]
-   accesses count too — the proof retires their guard logically even
-   though the compiled body keeps it). *)
-let static_guard_free (c : t) = if c.ct_guard_free then c.ct_safe else 0
-
 (* The bind-time baseline: how many accesses [Closure.affine_safe] alone
    licenses for the default environment at problem size [n].  All-or-
    nothing per kernel, affine accesses only. *)

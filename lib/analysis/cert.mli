@@ -47,10 +47,6 @@ val safe_frac : t -> float
 
 val license : t -> Vexec.License.t
 
-val static_guard_free : t -> int
-(** Accesses this certificate licenses to run unguarded (0 when not
-    guard-free). *)
-
 val bind_time_guard_free : ?n:int -> Vir.Kernel.t -> int
 (** Baseline: accesses licensed by the per-bind interval check alone for
     the default environment at size [n] (default 1024) — all-or-nothing

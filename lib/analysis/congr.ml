@@ -21,7 +21,6 @@ let make m r =
 let const c = { m = 0; r = c }
 let top = { m = 1; r = 0 }
 let is_top c = c.m = 1
-let is_const c = c.m = 0
 
 (* Magnitudes past this degrade to top rather than risk int overflow in the
    products below; subscript arithmetic never gets near it. *)
@@ -34,8 +33,6 @@ let join a b =
   else guard (make (gcd (gcd a.m b.m) (a.r - b.r)) a.r)
 
 let add a b = guard (make (gcd a.m b.m) (a.r + b.r))
-let neg a = make a.m (-a.r)
-let sub a b = add a (neg b)
 
 (* (m1 Z + r1)(m2 Z + r2) expands to m1 m2 Z^2 + m1 r2 Z + m2 r1 Z + r1 r2;
    every product lies in gcd(m1 m2, m1 r2, m2 r1) Z + r1 r2. *)
@@ -46,11 +43,6 @@ let mul a b =
   else guard (make (gcd (a.m * b.m) (gcd (a.m * b.r) (b.m * a.r))) (a.r * b.r))
 
 let mul_const c a = mul (const c) a
-
-let contains c v =
-  match c.m with 0 -> v = c.r | 1 -> true | m -> (((v - c.r) mod m) + m) mod m = 0
-
-let equal a b = a.m = b.m && a.r = b.r
 
 (* The residue class modulo [k] that every member of [c] falls in, when that
    is a single class: requires k | m (a constant always qualifies). *)

@@ -10,16 +10,9 @@ val make : int -> int -> t
 
 val const : int -> t
 val top : t
-val is_top : t -> bool
-val is_const : t -> bool
 val join : t -> t -> t
 val add : t -> t -> t
-val neg : t -> t
-val sub : t -> t -> t
-val mul : t -> t -> t
 val mul_const : int -> t -> t
-val contains : t -> int -> bool
-val equal : t -> t -> bool
 
 (** [residue_mod c ~k] is the single residue class modulo [k] containing all
     of [c], when one exists (k | m, or [c] constant). *)

@@ -21,10 +21,6 @@ val use_count : t -> int -> int
 
 val analyze : Kernel.t -> t
 
-(** Whether an operand denotes the same value on every innermost
-    iteration. *)
-val operand_invariant : t -> Instr.operand -> bool
-
 (** Whether an address denotes the same location on every innermost
     iteration. *)
 val addr_invariant : t -> Instr.addr -> bool

@@ -12,8 +12,6 @@ type summary = {
   s_legality : Vdeps.Legality.t;
 }
 
-val summarize : ?vfs:int list -> Kernel.t -> summary
-
 (** Registry-order-preserving parallel fan-out. *)
 val summarize_kernels : ?vfs:int list -> Kernel.t list -> summary list
 
@@ -43,10 +41,6 @@ type config = {
     size (reductions compared with relative tolerance). *)
 val validates : ?sizes:int list -> Kernel.t -> Vvect.Vinstr.vkernel -> bool
 
-val check_config :
-  ?sizes:int list -> Kernel.t -> Driver.transform -> vf:int -> verdict
-
-val default_vfs : int list
 val crosscheck_kernel : ?sizes:int list -> ?vfs:int list -> Kernel.t -> config list
 
 (** Parallel registry-wide sweep over LLV and SLP at every factor. *)

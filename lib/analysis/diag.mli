@@ -2,9 +2,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_to_string : severity -> string
-val severity_rank : severity -> int
-
 type t = {
   pass : string;
   severity : severity;

@@ -28,9 +28,6 @@ type summary = {
   e_rel_total : int;
 }
 
-(** Per-(array, direction) joined flat-index regions at size [n]. *)
-val regions : n:int -> Kernel.t -> region list
-
 val analyze : ?n:int -> Kernel.t -> summary
 
 (** Registry-order parallel map of {!analyze}. *)
@@ -58,15 +55,6 @@ type config = {
   c_verdict : verdict;
 }
 
-(** Problem sizes of the trace leg: {!Equiv.semantic_sizes}. *)
-val trace_sizes : int list
-
-val check_config :
-  ?sizes:int list -> Kernel.t -> Driver.transform -> vf:int ->
-  bool * verdict
-
-val default_vfs : int list
-val crosscheck_kernel : ?sizes:int list -> ?vfs:int list -> Kernel.t -> config list
 val crosscheck : ?sizes:int list -> ?vfs:int list -> Kernel.t list -> config list
 
 type stats = { st_stable : int; st_escape : int; st_inapplicable : int }

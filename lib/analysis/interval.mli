@@ -7,7 +7,6 @@
 type t = private { lo : float; hi : float }
 
 val top : t
-val is_top : t -> bool
 
 (** Normalizing constructor: NaN bounds widen to the matching infinity,
     inverted bounds collapse to [top]. *)

@@ -26,9 +26,6 @@ val unused_array : Dataflow.t -> Diag.t list
 (** Declared scalar parameters never read. *)
 val unused_param : Dataflow.t -> Diag.t list
 
-(** Reference vector factor the misalignment lint checks against. *)
-val misaligned_vf : int
-
 (** Unit-stride accesses whose congruence proves every vector block at
     [misaligned_vf] starts off-lane. *)
 val misaligned_access : Dataflow.t -> Diag.t list

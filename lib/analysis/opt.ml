@@ -358,9 +358,6 @@ let dce_pass =
 let pipeline =
   [ fold_pass; gvn_pass; licm_pass; strength_pass; dse_pass; dce_pass ]
 
-let find_pass name =
-  List.find_opt (fun p -> String.equal p.p_name name) pipeline
-
 (* --- instruction-class mix -------------------------------------------------- *)
 
 (* Same class vocabulary as the feature extractor (which lives above this

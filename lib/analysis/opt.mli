@@ -14,14 +14,6 @@ type pass = {
   p_run : Kernel.t -> Kernel.t;
 }
 
-(** SSA-preserving body surgery shared by the passes: drop positions failing
-    [keep], alias positions mapped by [replace], remap all registers. *)
-val rebuild :
-  Kernel.t -> keep:(int -> bool) -> replace:(int -> int option) -> Kernel.t
-
-(** Reorder the body by a permutation of positions, remapping registers. *)
-val permute : Kernel.t -> int list -> Kernel.t
-
 val fold_pass : pass  (** reaching constants + integer algebraic identities *)
 
 val gvn_pass : pass  (** dominator-based value numbering / CSE *)
@@ -39,8 +31,6 @@ val dce_pass : pass  (** remove values reaching no store or reduction *)
 
 val pipeline : pass list
 
-val find_pass : string -> pass option
-
 (** Positions of stores overwritten by a later identical-address store with
     no intervening same-array load (what [dse_pass] removes and the
     [dead-store] lint reports). *)
@@ -55,8 +45,6 @@ val hoisted_fraction : Kernel.t -> float
 
 (** Instruction-class vocabulary of [class_mix], fixed order. *)
 val class_names : string list
-
-val class_of : Kernel.t -> Instr.t -> string
 
 (** Class -> count in [class_names] order, zeros included. *)
 val class_mix : Kernel.t -> (string * int) list
@@ -76,11 +64,6 @@ val run : Kernel.t -> report
 
 (** [(run k).rp_normalized]. *)
 val normalize : Kernel.t -> Kernel.t
-
-(** Check every pass in sequence against the reference interpreter
-    ([Equiv.semantic_diags]) plus the no-growth guarantee; canonicalized
-    diagnostics, empty means validated. *)
-val validate : ?sizes:int list -> Kernel.t -> Diag.t list
 
 val print_report : out_channel -> report -> unit
 val report_to_json : report -> Vjson.t

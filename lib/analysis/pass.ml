@@ -1,9 +1,7 @@
 (* Pass registry for the scalar lints.
 
    Passes share one dataflow computation per kernel; [run_all] analyzes
-   once and folds every registered pass over the facts.  The registry is
-   open: extensions (and tests) can [register] additional passes, which the
-   CLI then picks up without changes. *)
+   once and folds every pass over the facts. *)
 
 type t = {
   name : string;
@@ -60,21 +58,12 @@ let builtin : t list =
       run = Lints.effect_escape };
   ]
 
-let registry = ref builtin
-
-let register p =
-  if List.exists (fun q -> String.equal q.name p.name) !registry then
-    invalid_arg (Printf.sprintf "Pass.register: duplicate pass %s" p.name);
-  registry := !registry @ [ p ]
-
-let all () = !registry
-
-let find name = List.find_opt (fun p -> String.equal p.name name) !registry
+let find name = List.find_opt (fun p -> String.equal p.name name) builtin
 
 (* Run one pass standalone (recomputes the facts). *)
 let run_pass p (k : Vir.Kernel.t) = p.run (Dataflow.analyze k)
 
-(* Run every registered pass over one shared dataflow analysis. *)
+(* Run every pass over one shared dataflow analysis. *)
 let run_all (k : Vir.Kernel.t) : Diag.t list =
   let df = Dataflow.analyze k in
-  List.concat_map (fun p -> p.run df) !registry
+  List.concat_map (fun p -> p.run df) builtin

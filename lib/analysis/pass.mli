@@ -9,15 +9,10 @@ type t = {
 (** The built-in lints, in reporting order. *)
 val builtin : t list
 
-(** Add a pass to the registry; raises [Invalid_argument] on duplicate
-    names. *)
-val register : t -> unit
-
-val all : unit -> t list
 val find : string -> t option
 
 (** Run one pass standalone (computes the dataflow facts itself). *)
 val run_pass : t -> Vir.Kernel.t -> Diag.t list
 
-(** Run every registered pass over one shared dataflow analysis. *)
+(** Run every pass over one shared dataflow analysis. *)
 val run_all : Vir.Kernel.t -> Diag.t list

@@ -39,13 +39,6 @@ type t = {
   block : int;  (* index of the [Body] node *)
 }
 
-let node_to_string = function
-  | Entry -> "entry"
-  | Header i -> Printf.sprintf "header.%d" i
-  | Body -> "body"
-  | Latch i -> Printf.sprintf "latch.%d" i
-  | Exit -> "exit"
-
 (* --- SSA well-formedness --------------------------------------------------- *)
 
 let check (k : Kernel.t) =

@@ -22,8 +22,6 @@ type t = {
   block : int;  (** index of the [Body] node *)
 }
 
-val node_to_string : node -> string
-
 (** Raises [Not_ssa] when a body or reduction operand reads a register that
     is undefined, defined by a store, or defined later than the use. *)
 val check : Kernel.t -> unit

@@ -352,13 +352,3 @@ let errors (vk : Vinstr.vkernel) : Diag.t list =
   (* Translation validation only makes sense on a structurally sound body. *)
   if structural <> [] then structural else structural @ Equiv.vkernel_diags vk
 
-let is_valid vk = errors vk = []
-
-let check_exn vk =
-  match errors vk with
-  | [] -> ()
-  | ds ->
-      invalid_arg
-        (Printf.sprintf "invalid vector kernel %s:\n  %s"
-           vk.Vinstr.scalar.Kernel.name
-           (String.concat "\n  " (List.map Diag.to_string ds)))

@@ -9,8 +9,3 @@ val check : Vvect.Vinstr.vkernel -> Diag.t list
 (** [check] plus [Equiv.vkernel_diags] (translation validation runs only
     when the structural checks pass). *)
 val errors : Vvect.Vinstr.vkernel -> Diag.t list
-
-val is_valid : Vvect.Vinstr.vkernel -> bool
-
-(** Raises [Invalid_argument] listing every diagnostic. *)
-val check_exn : Vvect.Vinstr.vkernel -> unit

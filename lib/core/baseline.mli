@@ -7,9 +7,6 @@ val vector_class_cost : vf:int -> Feature.cls -> float
 (** Cost of one scalar iteration, in abstract units. *)
 val scalar_cost : Vir.Kernel.t -> float
 
-(** Cost of one vector block (vf elements), priced from the widened body. *)
-val vector_cost : Vvect.Vinstr.vkernel -> float
-
 (** The vectorizer's benefit estimate: scalar cost of vf iterations over the
     vector block cost. *)
 val predicted_speedup : Vvect.Vinstr.vkernel -> float

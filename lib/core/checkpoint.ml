@@ -116,8 +116,6 @@ module Journal = struct
 
   let find t id = List.assoc_opt id t.entries
 
-  let mem t id = find t id <> None
-
   let entries t = t.entries
 
   (* The journal is small (one line per experiment), so each record

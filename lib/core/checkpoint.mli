@@ -21,8 +21,6 @@ module Journal : sig
   (** The recorded payload for [id], if present. *)
   val find : t -> string -> string option
 
-  val mem : t -> string -> bool
-
   (** All valid entries, oldest first, one per id (newest wins). *)
   val entries : t -> (string * string) list
 

@@ -14,14 +14,6 @@ val samples :
   ?config:config -> machine:Vmachine.Descr.t -> transform:Dataset.transform ->
   unit -> Dataset.sample list
 
-(** LOOCV predictions for a (method, features, target) spec, memoized on a
-    content key of the spec and the samples' float payloads.  Experiments
-    repeating a validation row (F4, T2 and A4 all share the NNLS/rated
-    row) pay the n refits once. *)
-val loocv_predictions :
-  method_:Linmodel.fit_method -> features:Linmodel.feature_kind ->
-  target:Linmodel.target -> Dataset.sample list -> float array
-
 (** Counters for the LOOCV prediction cache, [Dataset.cache_stats]-shaped. *)
 val loocv_cache_stats : unit -> Dataset.cache_stats
 
@@ -101,9 +93,6 @@ val a1 : ?config:config -> unit -> Report.result
 
 (** A2 (ablation): 128-bit vs 256-bit ARM machine. *)
 val a2 : ?config:config -> unit -> Report.result * Report.result
-
-(** Sample transformer used by A1: collapse the access-pattern split. *)
-val collapse_access : Dataset.sample -> Dataset.sample
 
 (** A3 (ablation): out-of-order big core vs in-order little core. *)
 val a3 : ?config:config -> unit -> Report.result * Report.result

@@ -211,7 +211,6 @@ let extended (k : Kernel.t) =
 (* --- absint features: columns only the abstract interpretation can fill --- *)
 
 let absint_names = extended_names @ [ "x_aligned_frac"; "x_const_trip" ]
-let absint_dim = extended_dim + 2
 
 (* Extended features plus the provably-aligned fraction of the body's memory
    accesses at [vf] and a provable-constant-trip-count flag.  Both are facts
@@ -227,7 +226,6 @@ let absint ~n ~vf (k : Kernel.t) =
 (* --- opt features: counts taken after the SSA normalization pipeline --- *)
 
 let opt_names = absint_names @ [ "x_norm_ratio"; "x_hoist_frac" ]
-let opt_dim = absint_dim + 2
 
 (* Absint features of the *normalized* body (what the vectorizer actually
    prices), plus two pipeline facts: how much of the source count survives
@@ -253,8 +251,6 @@ let deps_names =
   opt_names
   @ [ "x_min_carried"; "x_carried_outer"; "x_carried_inner";
       "x_idiom_reduction"; "x_idiom_recurrence" ]
-
-let deps_dim = opt_dim + 5
 
 (* Opt features plus what the nest-wide dependence graph knows: the
    tightest loop-carried distance anywhere in the nest (1/distance, the
@@ -288,7 +284,6 @@ let deps ~n ~vf (k : Kernel.t) =
     |]
 
 let cert_names = deps_names @ [ "x_cert_safe_frac"; "x_cert_guard_free" ]
-let cert_dim = deps_dim + 2
 
 (* Deps features plus what the static safety certificate knows: the
    certified-safe fraction of the body's memory accesses and whether the

@@ -32,12 +32,7 @@ val dim : int
 (** Index of a class within a feature vector. *)
 val index : cls -> int
 
-val name : cls -> string
 val names : string list
-
-val of_opclass : Vmachine.Opclass.t -> cls
-val load_cls : Vir.Kernel.stride -> cls
-val store_cls : Vir.Kernel.stride -> cls
 
 (** Raw instruction-class counts of the scalar loop body. *)
 val counts : Vir.Kernel.t -> float array
@@ -65,7 +60,6 @@ val extended : Vir.Kernel.t -> float array
     supplied by [Vanalysis.Absint]. *)
 val absint_names : string list
 
-val absint_dim : int
 val absint : n:int -> vf:int -> Vir.Kernel.t -> float array
 
 (** Opt feature set: absint features of the [Vanalysis.Opt]-normalized body,
@@ -73,7 +67,6 @@ val absint : n:int -> vf:int -> Vir.Kernel.t -> float array
     fraction of the normalized body. *)
 val opt_names : string list
 
-val opt_dim : int
 val opt : n:int -> vf:int -> Vir.Kernel.t -> float array
 
 (** Deps feature set: opt features plus nest-wide dependence-graph columns
@@ -81,7 +74,6 @@ val opt : n:int -> vf:int -> Vir.Kernel.t -> float array
     and recognized-idiom flags from [Vdeps]. *)
 val deps_names : string list
 
-val deps_dim : int
 val deps : n:int -> vf:int -> Vir.Kernel.t -> float array
 
 (** Cert feature set: deps features plus the certified-safe access fraction
@@ -89,6 +81,5 @@ val deps : n:int -> vf:int -> Vir.Kernel.t -> float array
     bounds proofs, parametric in n and the runtime parameters). *)
 val cert_names : string list
 
-val cert_dim : int
 val cert : n:int -> vf:int -> Vir.Kernel.t -> float array
 val pp : Format.formatter -> float array -> unit

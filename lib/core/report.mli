@@ -13,8 +13,6 @@ type result = {
   notes : string list;
 }
 
-val print_header : ?ppf:Format.formatter -> result -> unit
-val print_rows : ?ppf:Format.formatter -> result -> unit
 val print : ?ppf:Format.formatter -> result -> unit
 
 (** Render a result into a string. *)

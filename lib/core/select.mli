@@ -19,8 +19,6 @@ val candidates :
     @raise Invalid_argument for speedup-targeted models. *)
 val predict_candidate : Linmodel.t -> Vir.Kernel.t -> candidate -> float
 
-val predict_baseline : candidate -> float
-
 type policy =
   | Always_scalar
   | Default_vectorize
@@ -28,7 +26,6 @@ type policy =
   | By_cost_model of Linmodel.t
   | Oracle
 
-val policy_label : policy -> string
 val choose : policy -> Vir.Kernel.t -> candidate list -> candidate
 
 type summary = {

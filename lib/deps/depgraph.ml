@@ -192,9 +192,6 @@ let build (k : Kernel.t) =
 
 (* --- queries ------------------------------------------------------------ *)
 
-let carried_at g depth =
-  List.filter (fun e -> e.e_carried = Carried depth) g.g_edges
-
 let unknown_carried g =
   List.filter (fun e -> e.e_carried = Carried_unknown) g.g_edges
 

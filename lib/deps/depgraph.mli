@@ -35,7 +35,6 @@ type t = {
 val carried_to_string : carried -> string
 val build : Kernel.t -> t
 
-val carried_at : t -> int -> edge list
 val unknown_carried : t -> edge list
 val loop_independent : t -> edge list
 

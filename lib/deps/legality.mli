@@ -14,9 +14,6 @@ val llv_ok : Kernel.t -> vf:int -> bool
     reduction idioms. *)
 val slp_ok : Kernel.t -> vf:int -> bool
 
-(** Unrolling preserves execution order: legal at every factor >= 2. *)
-val unroll_ok : Kernel.t -> uf:int -> bool
-
 type ix_verdict =
   | Ix_legal
   | Ix_illegal of string
@@ -37,9 +34,6 @@ type t = {
   l_idioms : Idiom.t list;
   l_assumed : bool;
 }
-
-(** VFs the summary tabulates by default: [2; 4; 8; 16]. *)
-val default_vfs : int list
 
 val summarize : ?vfs:int list -> Kernel.t -> t
 

@@ -6,8 +6,6 @@
 
 type direction = Lt | Eq | Gt  (** '<', '=', '>' — instance 1 vs instance 2 *)
 
-val direction_to_string : direction -> string
-
 (** Render a direction vector, outermost depth first, e.g. ["<="]. *)
 val dirs_to_string : direction array -> string
 
@@ -17,9 +15,6 @@ type ebound = Ninf | Fin of int | Pinf
 
 (** One loop of the nest in index-value space. *)
 type axis = { ax_var : string; ax_step : int; ax_vlo : ebound; ax_vhi : ebound }
-
-(** The iteration space of a kernel, outermost loop first. *)
-val axes : Vir.Kernel.t -> axis list
 
 (** Feasible direction vectors between one instance of each affine
     reference (dims lists, outermost subscript order as written), with the

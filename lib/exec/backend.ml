@@ -70,12 +70,6 @@ let prepare ?license ?trace backend k =
       let st = Flat.create (Program.lower k) in
       P_closure (st, Closure.compile ?trace st, license)
 
-let backend_of = function P_interp _ -> Interp | P_closure _ -> Closure
-
-let kernel_of = function
-  | P_interp (k, _) -> k
-  | P_closure (st, _, _) -> st.Flat.prog.Program.kernel
-
 let run_in prepared env =
   match prepared with
   | P_interp (k, None) -> Vinterp.Interp.run_in env k

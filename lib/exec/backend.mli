@@ -34,9 +34,6 @@ val prepare :
     included.  On [Closure] a trace compiles the guarded nest alone, once;
     without one, the checked and unchecked nests are compiled. *)
 
-val backend_of : prepared -> t
-val kernel_of : prepared -> Vir.Kernel.t
-
 val run_in : prepared -> Vinterp.Env.t -> (string * float) list
 (** Execute over [env] in place; returns final reduction values.  Traps
     exactly like [Vinterp.Interp.run_in]. *)

@@ -1,18 +1,17 @@
 (* Closure tier: compile a lowered program into nested OCaml closures.
 
-   Each bytecode instruction becomes a [unit -> unit] closure over the
-   [Flat.state] register files, with register slots, array slots and trap
-   messages baked in as captured immediates; the body is a flat sequence of
-   those closures wrapped in per-loop driver closures.  All
-   bind-dependent quantities (loop bounds, array storage, access constants
-   and coefficients) are read *through* the state's stable arrays at run
-   time, so a program is compiled exactly once and the same compiled nest
-   serves every subsequent [Flat.bind].
+   Each typed [Program.insn] becomes a [unit -> unit] closure over the
+   [Flat.state] register files, specialized on its operator and register
+   files, with register slots, array slots and trap messages baked in as
+   captured immediates; the body is a flat sequence of those closures
+   wrapped in per-loop driver closures.  All bind-dependent quantities (loop
+   bounds, array storage, access constants and coefficients) are read
+   *through* the state's stable arrays at run time, so a program is compiled
+   exactly once and the same compiled nest serves every subsequent
+   [Flat.bind].
 
    Semantics is identical to [Vinterp.Interp]; the equivalence suite runs
-   both on the same kernels and compares snapshots, reductions and traps.
-   Opcode literals below must stay in sync with the [Program.op_*]
-   constants; [test_exec] asserts the correspondence. *)
+   both on the same kernels and compares snapshots, reductions and traps. *)
 
 open Vir
 module Env = Vinterp.Env
@@ -156,157 +155,154 @@ let compile_body ~check ?trace (st : Flat.state) =
       `Aff1 (st.acc_coeff.(a), st.acc_depth.(a).(0))
     else `Other
   in
-  let code = prog.code in
-  let n_insns = Array.length code / Program.stride in
   let closures =
-    Array.init n_insns (fun k ->
-        let base = k * Program.stride in
-        let op = code.(base) in
-        let d = code.(base + 1) in
-        let a = code.(base + 2) in
-        let b = code.(base + 3) in
-        let c = code.(base + 4) in
-        match op with
-        | 0 (* fadd *) ->
+    Array.map
+      (fun (insn : Program.insn) ->
+        match insn with
+        | Fbin { op = Op.Add; d; a; b } ->
             fun () ->
               Array.unsafe_set f d (Array.unsafe_get f a +. Array.unsafe_get f b)
-        | 1 (* fsub *) ->
+        | Fbin { op = Op.Sub; d; a; b } ->
             fun () ->
               Array.unsafe_set f d (Array.unsafe_get f a -. Array.unsafe_get f b)
-        | 2 (* fmul *) ->
+        | Fbin { op = Op.Mul; d; a; b } ->
             fun () ->
               Array.unsafe_set f d (Array.unsafe_get f a *. Array.unsafe_get f b)
-        | 3 (* fdiv *) ->
+        | Fbin { op = Op.Div; d; a; b } ->
             fun () ->
               Array.unsafe_set f d (Array.unsafe_get f a /. Array.unsafe_get f b)
-        | 4 (* fmin *) ->
+        | Fbin { op = Op.Min; d; a; b } ->
             fun () ->
               Array.unsafe_set f d
                 (Float.min (Array.unsafe_get f a) (Array.unsafe_get f b))
-        | 5 (* fmax *) ->
+        | Fbin { op = Op.Max; d; a; b } ->
             fun () ->
               Array.unsafe_set f d
                 (Float.max (Array.unsafe_get f a) (Array.unsafe_get f b))
-        | 6 (* fneg *) -> fun () -> Array.unsafe_set f d (-.Array.unsafe_get f a)
-        | 7 (* fabs *) ->
+        | Fbin { op = Op.Rem | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr; _ } ->
+            fun () -> invalid_arg "Interp: integer-only binop on floats"
+        | Funary { op = Op.Neg; d; a } -> fun () -> Array.unsafe_set f d (-.Array.unsafe_get f a)
+        | Funary { op = Op.Abs; d; a } ->
             fun () -> Array.unsafe_set f d (abs_float (Array.unsafe_get f a))
-        | 8 (* fsqrt *) ->
+        | Funary { op = Op.Sqrt; d; a } ->
             fun () -> Array.unsafe_set f d (sqrt (Array.unsafe_get f a))
-        | 9 (* fma: unfused, like the interpreter *) ->
+        | Funary { op = Op.Not; _ } ->
+            fun () -> invalid_arg "Interp: not on float"
+        | Fma { d; a; b; c } (* unfused, like the interpreter *) ->
             fun () ->
               Array.unsafe_set f d
                 ((Array.unsafe_get f a *. Array.unsafe_get f b)
                 +. Array.unsafe_get f c)
-        | 10 (* fceq *) ->
+        | Fcmp { op = Op.Eq; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (if Array.unsafe_get f a = Array.unsafe_get f b then 1 else 0)
-        | 11 (* fcne *) ->
+        | Fcmp { op = Op.Ne; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (if Array.unsafe_get f a <> Array.unsafe_get f b then 1 else 0)
-        | 12 (* fclt *) ->
+        | Fcmp { op = Op.Lt; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (if Array.unsafe_get f a < Array.unsafe_get f b then 1 else 0)
-        | 13 (* fcle *) ->
+        | Fcmp { op = Op.Le; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (if Array.unsafe_get f a <= Array.unsafe_get f b then 1 else 0)
-        | 14 (* fcgt *) ->
+        | Fcmp { op = Op.Gt; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (if Array.unsafe_get f a > Array.unsafe_get f b then 1 else 0)
-        | 15 (* fcge *) ->
+        | Fcmp { op = Op.Ge; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (if Array.unsafe_get f a >= Array.unsafe_get f b then 1 else 0)
-        | 16 (* fsel *) ->
+        | Fsel { d; a; b; c } ->
             fun () ->
               Array.unsafe_set f d
                 (if Array.unsafe_get i c <> 0 then Array.unsafe_get f a
                  else Array.unsafe_get f b)
-        | 17 (* isel *) ->
+        | Isel { d; a; b; c } ->
             fun () ->
               Array.unsafe_set i d
                 (if Array.unsafe_get i c <> 0 then Array.unsafe_get i a
                  else Array.unsafe_get i b)
-        | 18 (* fsel_t *) ->
+        | Fsel_trap { d; a; trap = b; c; traps_if = true } ->
             let msg = traps.(b) in
             fun () ->
               if Array.unsafe_get i c <> 0 then invalid_arg msg
               else Array.unsafe_set f d (Array.unsafe_get f a)
-        | 19 (* fsel_f *) ->
+        | Fsel_trap { d; a; trap = b; c; traps_if = false } ->
             let msg = traps.(b) in
             fun () ->
               if Array.unsafe_get i c = 0 then invalid_arg msg
               else Array.unsafe_set f d (Array.unsafe_get f a)
-        | 20 (* isel_t *) ->
+        | Isel_trap { d; a; trap = b; c; traps_if = true } ->
             let msg = traps.(b) in
             fun () ->
               if Array.unsafe_get i c <> 0 then invalid_arg msg
               else Array.unsafe_set i d (Array.unsafe_get i a)
-        | 21 (* isel_f *) ->
+        | Isel_trap { d; a; trap = b; c; traps_if = false } ->
             let msg = traps.(b) in
             fun () ->
               if Array.unsafe_get i c = 0 then invalid_arg msg
               else Array.unsafe_set i d (Array.unsafe_get i a)
-        | 22 (* f_of_i *) ->
+        | F_of_i { d; a } ->
             fun () -> Array.unsafe_set f d (float_of_int (Array.unsafe_get i a))
-        | 23 (* i_of_f *) ->
+        | I_of_f { d; a } ->
             fun () -> Array.unsafe_set i d (int_of_float (Array.unsafe_get f a))
-        | 24 (* fmov *) -> fun () -> Array.unsafe_set f d (Array.unsafe_get f a)
-        | 25 (* imov *) -> fun () -> Array.unsafe_set i d (Array.unsafe_get i a)
-        | 26 (* iadd *) ->
+        | Ibin { op = Op.Add; d; a; b } ->
             fun () ->
               Array.unsafe_set i d (Array.unsafe_get i a + Array.unsafe_get i b)
-        | 27 (* isub *) ->
+        | Ibin { op = Op.Sub; d; a; b } ->
             fun () ->
               Array.unsafe_set i d (Array.unsafe_get i a - Array.unsafe_get i b)
-        | 28 (* imul *) ->
+        | Ibin { op = Op.Mul; d; a; b } ->
             fun () ->
               Array.unsafe_set i d (Array.unsafe_get i a * Array.unsafe_get i b)
-        | 29 (* idiv *) ->
+        | Ibin { op = Op.Div; d; a; b } ->
             fun () ->
               let bv = Array.unsafe_get i b in
               if bv = 0 then invalid_arg "Interp: division by zero"
               else Array.unsafe_set i d (Array.unsafe_get i a / bv)
-        | 30 (* irem *) ->
+        | Ibin { op = Op.Rem; d; a; b } ->
             fun () ->
               let bv = Array.unsafe_get i b in
               if bv = 0 then invalid_arg "Interp: rem by zero"
               else Array.unsafe_set i d (Array.unsafe_get i a mod bv)
-        | 31 (* imin *) ->
+        | Ibin { op = Op.Min; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (min (Array.unsafe_get i a) (Array.unsafe_get i b))
-        | 32 (* imax *) ->
+        | Ibin { op = Op.Max; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (max (Array.unsafe_get i a) (Array.unsafe_get i b))
-        | 33 (* iand *) ->
+        | Ibin { op = Op.And; d; a; b } ->
             fun () ->
               Array.unsafe_set i d (Array.unsafe_get i a land Array.unsafe_get i b)
-        | 34 (* ior *) ->
+        | Ibin { op = Op.Or; d; a; b } ->
             fun () ->
               Array.unsafe_set i d (Array.unsafe_get i a lor Array.unsafe_get i b)
-        | 35 (* ixor *) ->
+        | Ibin { op = Op.Xor; d; a; b } ->
             fun () ->
               Array.unsafe_set i d (Array.unsafe_get i a lxor Array.unsafe_get i b)
-        | 36 (* ishl *) ->
+        | Ibin { op = Op.Shl; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (Array.unsafe_get i a lsl (Array.unsafe_get i b land 63))
-        | 37 (* ishr *) ->
+        | Ibin { op = Op.Shr; d; a; b } ->
             fun () ->
               Array.unsafe_set i d
                 (Array.unsafe_get i a asr (Array.unsafe_get i b land 63))
-        | 38 (* ineg *) -> fun () -> Array.unsafe_set i d (-Array.unsafe_get i a)
-        | 39 (* iabs *) ->
+        | Iunary { op = Op.Neg; d; a } -> fun () -> Array.unsafe_set i d (-Array.unsafe_get i a)
+        | Iunary { op = Op.Abs; d; a } ->
             fun () -> Array.unsafe_set i d (abs (Array.unsafe_get i a))
-        | 40 (* inot *) ->
+        | Iunary { op = Op.Not; d; a } ->
             fun () -> Array.unsafe_set i d (lnot (Array.unsafe_get i a))
-        | 41 (* ld_ff *) -> (
+        | Iunary { op = Op.Sqrt; _ } ->
+            fun () -> invalid_arg "Interp: sqrt on int"
+        | Fload { d; acc = a } when prog.accesses.(a).acc_float -> (
             let acc = prog.accesses.(a) in
             let slot = acc.acc_arr and name = acc.acc_name in
             match shape a with
@@ -348,7 +344,7 @@ let compile_body ~check ?trace (st : Flat.state) =
                     raise (Env.Out_of_bounds (name, idx));
                   Array.unsafe_set f d
                     (Array.unsafe_get (Array.unsafe_get arr_f slot) idx))
-        | 42 (* ld_fi *) -> (
+        | Fload { d; acc = a } -> (
             let acc = prog.accesses.(a) in
             let slot = acc.acc_arr and name = acc.acc_name in
             match shape a with
@@ -395,7 +391,7 @@ let compile_body ~check ?trace (st : Flat.state) =
                   Array.unsafe_set f d
                     (float_of_int
                        (Array.unsafe_get (Array.unsafe_get arr_i slot) idx)))
-        | 43 (* ld_if *) -> (
+        | Iload { d; acc = a } when prog.accesses.(a).acc_float -> (
             let acc = prog.accesses.(a) in
             let slot = acc.acc_arr and name = acc.acc_name in
             match shape a with
@@ -442,7 +438,7 @@ let compile_body ~check ?trace (st : Flat.state) =
                   Array.unsafe_set i d
                     (int_of_float
                        (Array.unsafe_get (Array.unsafe_get arr_f slot) idx)))
-        | 44 (* ld_ii *) -> (
+        | Iload { d; acc = a } -> (
             let acc = prog.accesses.(a) in
             let slot = acc.acc_arr and name = acc.acc_name in
             match shape a with
@@ -484,7 +480,7 @@ let compile_body ~check ?trace (st : Flat.state) =
                     raise (Env.Out_of_bounds (name, idx));
                   Array.unsafe_set i d
                     (Array.unsafe_get (Array.unsafe_get arr_i slot) idx))
-        | 45 (* st_ff *) -> (
+        | Fstore { acc = a; src = b } when prog.accesses.(a).acc_float -> (
             let acc = prog.accesses.(a) in
             let slot = acc.acc_arr and name = acc.acc_name in
             match shape a with
@@ -531,7 +527,7 @@ let compile_body ~check ?trace (st : Flat.state) =
                   Array.unsafe_set
                     (Array.unsafe_get arr_f slot)
                     idx (Array.unsafe_get f b))
-        | 46 (* st_fi *) -> (
+        | Fstore { acc = a; src = b } -> (
             let acc = prog.accesses.(a) in
             let slot = acc.acc_arr and name = acc.acc_name in
             match shape a with
@@ -583,7 +579,7 @@ let compile_body ~check ?trace (st : Flat.state) =
                     (Array.unsafe_get arr_i slot)
                     idx
                     (int_of_float (Array.unsafe_get f b)))
-        | 47 (* st_if *) -> (
+        | Istore { acc = a; src = b } when prog.accesses.(a).acc_float -> (
             let acc = prog.accesses.(a) in
             let slot = acc.acc_arr and name = acc.acc_name in
             match shape a with
@@ -635,7 +631,7 @@ let compile_body ~check ?trace (st : Flat.state) =
                     (Array.unsafe_get arr_f slot)
                     idx
                     (float_of_int (Array.unsafe_get i b)))
-        | 48 (* st_ii *) -> (
+        | Istore { acc = a; src = b } -> (
             let acc = prog.accesses.(a) in
             let slot = acc.acc_arr and name = acc.acc_name in
             match shape a with
@@ -682,10 +678,10 @@ let compile_body ~check ?trace (st : Flat.state) =
                   Array.unsafe_set
                     (Array.unsafe_get arr_i slot)
                     idx (Array.unsafe_get i b))
-        | 49 (* trap *) ->
+        | Trap a ->
             let msg = traps.(a) in
-            fun () -> invalid_arg msg
-        | _ -> invalid_arg "Vexec.Closure: corrupt opcode")
+            fun () -> invalid_arg msg)
+      prog.code
   in
   (* Reduction folds run after the body on every innermost iteration. *)
   let accs = st.accs in

@@ -9,9 +9,9 @@
    possibly-written array is [Owned] (a private copy).  One unsound
    [Frozen] decision corrupts every subsequent environment in the
    process, which is why the summary is produced by a single recursive
-   walker ([Vir.Kernel.written_arrays]) instead of ad-hoc scans at each
-   call site, and why the analysis library cross-checks it against
-   observed access traces (see [Analysis.Effect]).
+   walker ([of_kernel]) instead of ad-hoc scans at each call site, and
+   why the analysis library cross-checks it against observed access
+   traces (see [Analysis.Effect]).
 
    Like [License], this module lives in [lib/exec] so the execution tiers
    depend only on the data the analysis emits, never on the prover. *)

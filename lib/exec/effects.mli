@@ -36,8 +36,8 @@ val written : t -> string list
 (** Ownership projected from the summary: [Frozen] iff unwritten. *)
 val ownership : t -> string -> Vinterp.Env.ownership
 
-(** Sound syntactic effect summary of a kernel body (recursive walk via
-    the same traversal discipline as [Vir.Kernel.written_arrays]). *)
+(** Sound syntactic effect summary of a kernel body (one recursive walk
+    over the body). *)
 val of_kernel : Vir.Kernel.t -> t
 
 (** Whether the license names [k] and covers exactly its array set. *)

@@ -57,7 +57,7 @@ let create (prog : Program.t) =
     arr_len = Array.make nslots 0;
   }
 
-(* Point [st] at [env]: everything the bytecode reads per iteration is
+(* Point [st] at [env]: everything the compiled nest reads per iteration is
    precomputed here, in place. *)
 let bind st (env : Env.t) =
   let prog = st.prog in

@@ -15,11 +15,6 @@
 
 type verdict = Safe | Unsafe | Unknown
 
-let verdict_to_string = function
-  | Safe -> "safe"
-  | Unsafe -> "unsafe"
-  | Unknown -> "unknown"
-
 type t = {
   lic_kernel : string;
   lic_verdicts : verdict array;  (* indexed by access id *)
@@ -42,7 +37,3 @@ let guard_free (lic : t) (prog : Program.t) =
     prog.accesses;
   !ok
 
-let safe_count (lic : t) =
-  Array.fold_left
-    (fun acc v -> if v = Safe then acc + 1 else acc)
-    0 lic.lic_verdicts

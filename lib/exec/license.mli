@@ -9,8 +9,6 @@
 
 type verdict = Safe | Unsafe | Unknown
 
-val verdict_to_string : verdict -> string
-
 type t = {
   lic_kernel : string;
   lic_verdicts : verdict array;  (** indexed by access id *)
@@ -23,6 +21,3 @@ val make : kernel:string -> verdict array -> t
     access [Safe].  Indirect accesses stay guarded in both body variants
     and place no obligation here. *)
 val guard_free : t -> Program.t -> bool
-
-(** Number of accesses certified [Safe]. *)
-val safe_count : t -> int

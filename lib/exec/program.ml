@@ -1,8 +1,8 @@
-(* Flat register-machine bytecode for kernel bodies.
+(* Typed instructions for kernel bodies.
 
-   [lower] compiles a [Vir.Kernel.t] body into a contiguous int-coded
-   instruction array over unboxed register files, with every operand
-   resolved to a slot at lowering time:
+   [lower] compiles a [Vir.Kernel.t] body into an array of typed
+   instructions over unboxed register files, with every operand resolved to
+   a slot at lowering time:
 
      - virtual registers are split by static result kind into a float file
        and an int file (comparison masks live in the int file as 0/1);
@@ -20,92 +20,33 @@
        [value] boxing of the interpreter disappears.
 
    The semantics is exactly [Vinterp.Interp]: same operator definitions,
-   same trapping behaviour (encoded as [TRAP] instructions at the
-   positions where the interpreter would raise), same out-of-bounds
-   exception.  The equivalence suite in test/test_exec.ml holds the
+   same trapping behaviour (a [Trap] instruction, a trapping select, or an
+   operator outside its register file's vocabulary, each at the position
+   where the interpreter would raise), same out-of-bounds exception.  The equivalence suite in test/test_exec.ml holds the
    closure tier compiled from it to bit-identical results. *)
 
 open Vir
 
-(* --- instruction encoding -------------------------------------------------
-
-   The code array is a sequence of fixed-width records: 5 ints per
-   instruction — opcode, destination, and up to three sources.  Loads and
-   stores put an access-descriptor id in the [a] slot.  Opcode values are
-   dense so the closure compiler's match compiles to a jump table. *)
-
-let stride = 5
-
-(* float file ops *)
-let op_fadd = 0
-let op_fsub = 1
-let op_fmul = 2
-let op_fdiv = 3
-let op_fmin = 4
-let op_fmax = 5
-let op_fneg = 6
-let op_fabs = 7
-let op_fsqrt = 8
-let op_fma = 9
-
-(* compares: sources in the float file, 0/1 result in the int file *)
-let op_fceq = 10
-let op_fcne = 11
-let op_fclt = 12
-let op_fcle = 13
-let op_fcgt = 14
-let op_fcge = 15
-
-(* selects: [a]/[b] arms, [c] condition (int file, 0/1) *)
-let op_fsel = 16
-let op_isel = 17
-
-(* select with a trapping arm: [a] is the sound arm, [b] a trap message id;
-   _t traps when the condition is true, _f when it is false *)
-let op_fsel_t = 18
-let op_fsel_f = 19
-let op_isel_t = 20
-let op_isel_f = 21
-
-(* conversions / moves *)
-let op_f_of_i = 22
-let op_i_of_f = 23
-let op_fmov = 24
-let op_imov = 25
-
-(* int file ops *)
-let op_iadd = 26
-let op_isub = 27
-let op_imul = 28
-let op_idiv = 29
-let op_irem = 30
-let op_imin = 31
-let op_imax = 32
-let op_iand = 33
-let op_ior = 34
-let op_ixor = 35
-let op_ishl = 36
-let op_ishr = 37
-let op_ineg = 38
-let op_iabs = 39
-let op_inot = 40
-
-(* memory: LD_<reg file><storage file>, ST_<value file><storage file> *)
-let op_ld_ff = 41 (* float reg <- float array *)
-let op_ld_fi = 42 (* float reg <- int array (float_of_int) *)
-let op_ld_if = 43 (* int reg <- float array (int_of_float) *)
-let op_ld_ii = 44
-let op_st_ff = 45 (* float array <- float reg *)
-let op_st_fi = 46 (* int array <- float reg (int_of_float) *)
-let op_st_if = 47 (* float array <- int reg (float_of_int) *)
-let op_st_ii = 48
-
-(* raise Invalid_argument with message [traps.(a)] *)
-let op_trap = 49
-
-let op_count = 50
-
 (* --- program representation ---------------------------------------------- *)
+
+type insn =
+  | Fbin of { op : Op.binop; d : int; a : int; b : int }
+  | Ibin of { op : Op.binop; d : int; a : int; b : int }
+  | Funary of { op : Op.unop; d : int; a : int }
+  | Iunary of { op : Op.unop; d : int; a : int }
+  | Fma of { d : int; a : int; b : int; c : int }
+  | Fcmp of { op : Op.cmpop; d : int; a : int; b : int }
+  | Fsel of { d : int; a : int; b : int; c : int }
+  | Isel of { d : int; a : int; b : int; c : int }
+  | Fsel_trap of { d : int; a : int; trap : int; c : int; traps_if : bool }
+  | Isel_trap of { d : int; a : int; trap : int; c : int; traps_if : bool }
+  | F_of_i of { d : int; a : int }
+  | I_of_f of { d : int; a : int }
+  | Fload of { d : int; acc : int }
+  | Iload of { d : int; acc : int }
+  | Fstore of { acc : int; src : int }
+  | Istore of { acc : int; src : int }
+  | Trap of int
 
 type fsrc = F_lit of float | F_param of string
 type isrc = I_lit of int | I_param of string
@@ -141,7 +82,7 @@ type red = { rd_name : string; rd_op : Op.redop; rd_init : float; rd_slot : int 
 
 type t = {
   kernel : Kernel.t;
-  code : int array;
+  code : insn array;
   nf : int;  (* float register file size *)
   ni : int;  (* int register file size *)
   f_init : (int * fsrc) array;  (* preloaded slots, filled at bind *)
@@ -164,7 +105,7 @@ type repr = RF of int | RI of int | RB of int | RNone
 type builder = {
   mutable nf : int;
   mutable ni : int;
-  mutable code_rev : (int * int * int * int * int) list;
+  mutable code_rev : insn list;
   mutable f_inits : (int * fsrc) list;
   mutable i_inits : (int * isrc) list;
   mutable accs_rev : access list;
@@ -190,7 +131,7 @@ let fresh_i b =
   b.ni <- s + 1;
   s
 
-let emit b op d a1 a2 a3 = b.code_rev <- (op, d, a1, a2, a3) :: b.code_rev
+let emit b insn = b.code_rev <- insn :: b.code_rev
 
 let trap_id b msg =
   b.traps_rev <- msg :: b.traps_rev;
@@ -198,7 +139,7 @@ let trap_id b msg =
   b.n_traps <- id + 1;
   id
 
-let emit_trap b msg = emit b op_trap 0 (trap_id b msg) 0 0
+let emit_trap b msg = emit b (Trap (trap_id b msg))
 
 let flit b v =
   let bits = Int64.bits_of_float v in
@@ -265,7 +206,7 @@ let lower_f b ~depth_of ~pos_repr (op : Instr.operand) =
           | Some s' -> Slot s'
           | None ->
               let d = fresh_f b in
-              emit b op_f_of_i d s 0 0;
+              emit b (F_of_i { d; a = s });
               Hashtbl.add b.conv_cache (r, true) d;
               Slot d)
       | RNone -> Slot (flit b 0.0) (* store positions hold V_int 0 *))
@@ -289,7 +230,7 @@ let lower_i b ~depth_of ~pos_repr (op : Instr.operand) =
           | Some s' -> Slot s'
           | None ->
               let d = fresh_i b in
-              emit b op_i_of_f d s 0 0;
+              emit b (I_of_f { d; a = s });
               Hashtbl.add b.conv_cache (r, false) d;
               Slot d)
       | RNone -> Slot (ilit b 0))
@@ -319,37 +260,6 @@ let force b = function
   | Trap msg ->
       emit_trap b msg;
       0
-
-let fbin_op = function
-  | Op.Add -> op_fadd
-  | Op.Sub -> op_fsub
-  | Op.Mul -> op_fmul
-  | Op.Div -> op_fdiv
-  | Op.Min -> op_fmin
-  | Op.Max -> op_fmax
-  | Op.Rem | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr -> -1
-
-let ibin_op = function
-  | Op.Add -> op_iadd
-  | Op.Sub -> op_isub
-  | Op.Mul -> op_imul
-  | Op.Div -> op_idiv
-  | Op.Rem -> op_irem
-  | Op.Min -> op_imin
-  | Op.Max -> op_imax
-  | Op.And -> op_iand
-  | Op.Or -> op_ior
-  | Op.Xor -> op_ixor
-  | Op.Shl -> op_ishl
-  | Op.Shr -> op_ishr
-
-let fcmp_op = function
-  | Op.Eq -> op_fceq
-  | Op.Ne -> op_fcne
-  | Op.Lt -> op_fclt
-  | Op.Le -> op_fcle
-  | Op.Gt -> op_fcgt
-  | Op.Ge -> op_fcge
 
 (* Array slots are the kernel's declaration order: [arr_names], access
    descriptors, traced accesses and [Tracesim]'s layout all number arrays
@@ -499,26 +409,27 @@ let lower (k : Kernel.t) =
      evaluates only the chosen arm, so a trapping arm must stay lazy. *)
   let lower_select ~float_kind cond if_true if_false =
     let lower_arm = if float_kind then lower_f b ~depth_of ~pos_repr else lower_i b ~depth_of ~pos_repr in
-    let sel, sel_t, sel_f = if float_kind then (op_fsel, op_fsel_t, op_fsel_f) else (op_isel, op_isel_t, op_isel_f) in
     let fresh = if float_kind then fresh_f else fresh_i in
     match lower_b ~pos_repr cond with
     | Trap msg ->
         emit_trap b msg;
         0
     | Slot c -> (
+        let guarded ~traps_if a msg =
+          let d = fresh b in
+          let trap = trap_id b msg in
+          emit b
+            (if float_kind then Fsel_trap { d; a; trap; c; traps_if }
+             else Isel_trap { d; a; trap; c; traps_if });
+          d
+        in
         match (lower_arm if_true, lower_arm if_false) with
         | Slot a, Slot bb ->
             let d = fresh b in
-            emit b sel d a bb c;
+            emit b (if float_kind then Fsel { d; a; b = bb; c } else Isel { d; a; b = bb; c });
             d
-        | Trap msg, Slot ok ->
-            let d = fresh b in
-            emit b sel_t d ok (trap_id b msg) c;
-            d
-        | Slot ok, Trap msg ->
-            let d = fresh b in
-            emit b sel_f d ok (trap_id b msg) c;
-            d
+        | Trap msg, Slot ok -> guarded ~traps_if:true ok msg
+        | Slot ok, Trap msg -> guarded ~traps_if:false ok msg
         | Trap msg, Trap _ ->
             emit_trap b msg;
             0)
@@ -531,65 +442,38 @@ let lower (k : Kernel.t) =
         match instr with
         | Instr.Bin { ty; op; a; b = b2 } ->
             if Types.is_float ty then begin
-              let code = fbin_op op in
-              if code < 0 then begin
-                emit_trap b "Interp: integer-only binop on floats";
-                RF 0
-              end
-              else begin
-                let sa = lf a in
-                let sb = lf b2 in
-                let d = fresh_f b in
-                emit b code d sa sb 0;
-                RF d
-              end
+              let sa = lf a in
+              let sb = lf b2 in
+              let d = fresh_f b in
+              emit b (Fbin { op; d; a = sa; b = sb });
+              RF d
             end
             else begin
               let sa = li a in
               let sb = li b2 in
               let d = fresh_i b in
-              emit b (ibin_op op) d sa sb 0;
+              emit b (Ibin { op; d; a = sa; b = sb });
               RI d
             end
         | Instr.Una { ty; op; a } ->
-            if Types.is_float ty then (
-              match op with
-              | Op.Not ->
-                  emit_trap b "Interp: not on float";
-                  RF 0
-              | Op.Neg | Op.Abs | Op.Sqrt ->
-                  let sa = lf a in
-                  let d = fresh_f b in
-                  let code =
-                    match op with
-                    | Op.Neg -> op_fneg
-                    | Op.Abs -> op_fabs
-                    | _ -> op_fsqrt
-                  in
-                  emit b code d sa 0 0;
-                  RF d)
-            else (
-              match op with
-              | Op.Sqrt ->
-                  emit_trap b "Interp: sqrt on int";
-                  RI 0
-              | Op.Neg | Op.Abs | Op.Not ->
-                  let sa = li a in
-                  let d = fresh_i b in
-                  let code =
-                    match op with
-                    | Op.Neg -> op_ineg
-                    | Op.Abs -> op_iabs
-                    | _ -> op_inot
-                  in
-                  emit b code d sa 0 0;
-                  RI d)
+            if Types.is_float ty then begin
+              let sa = lf a in
+              let d = fresh_f b in
+              emit b (Funary { op; d; a = sa });
+              RF d
+            end
+            else begin
+              let sa = li a in
+              let d = fresh_i b in
+              emit b (Iunary { op; d; a = sa });
+              RI d
+            end
         | Instr.Fma { a; b = b2; c; _ } ->
             let sa = lf a in
             let sb = lf b2 in
             let sc = lf c in
             let d = fresh_f b in
-            emit b op_fma d sa sb sc;
+            emit b (Fma { d; a = sa; b = sb; c = sc });
             RF d
         | Instr.Cmp { ty; op; a; b = b2 } ->
             (* Both kinds end in a float compare, but the interpreter routes
@@ -603,51 +487,40 @@ let lower (k : Kernel.t) =
                 | Trap _ as t -> t
                 | Slot si ->
                     let d = fresh_f b in
-                    emit b op_f_of_i d si 0 0;
+                    emit b (F_of_i { d; a = si });
                     Slot d
             in
             let sa = force b (lower_cmp a) in
             let sb = force b (lower_cmp b2) in
             let d = fresh_i b in
-            emit b (fcmp_op op) d sa sb 0;
+            emit b (Fcmp { op; d; a = sa; b = sb });
             RB d
         | Instr.Select { ty; cond; if_true; if_false } ->
             if Types.is_float ty then RF (lower_select ~float_kind:true cond if_true if_false)
             else RI (lower_select ~float_kind:false cond if_true if_false)
         | Instr.Load { ty; addr } ->
             let acc = lower_access addr in
-            let fl = Types.is_float ty in
-            let storage_float =
-              (match addr with
-              | Instr.Affine { arr; _ } | Instr.Indirect { arr; _ } ->
-                  arr_float.(arr_slot arr))
-            in
-            if fl then begin
+            if Types.is_float ty then begin
               let d = fresh_f b in
-              emit b (if storage_float then op_ld_ff else op_ld_fi) d acc 0 0;
+              emit b (Fload { d; acc });
               RF d
             end
             else begin
               let d = fresh_i b in
-              emit b (if storage_float then op_ld_if else op_ld_ii) d acc 0 0;
+              emit b (Iload { d; acc });
               RI d
             end
         | Instr.Store { ty; addr; src } ->
             (* Evaluation order matches the interpreter: the address (an
                indirect index operand) resolves before the source value. *)
             let acc = lower_access addr in
-            let storage_float =
-              (match addr with
-              | Instr.Affine { arr; _ } | Instr.Indirect { arr; _ } ->
-                  arr_float.(arr_slot arr))
-            in
             if Types.is_float ty then begin
-              let s = lf src in
-              emit b (if storage_float then op_st_ff else op_st_fi) 0 acc s 0
+              let src = lf src in
+              emit b (Fstore { acc; src })
             end
             else begin
-              let s = li src in
-              emit b (if storage_float then op_st_if else op_st_ii) 0 acc s 0
+              let src = li src in
+              emit b (Istore { acc; src })
             end;
             RNone
         | Instr.Cast { dst_ty; a; _ } ->
@@ -685,20 +558,9 @@ let lower (k : Kernel.t) =
              l_islot = b.iv_islot.(depth); l_fslot = b.iv_fslot.(depth) })
          k.loops)
   in
-  let insns = List.rev b.code_rev in
-  let code = Array.make (List.length insns * stride) 0 in
-  List.iteri
-    (fun i (op, d, a1, a2, a3) ->
-      let base = i * stride in
-      code.(base) <- op;
-      code.(base + 1) <- d;
-      code.(base + 2) <- a1;
-      code.(base + 3) <- a2;
-      code.(base + 4) <- a3)
-    insns;
   {
     kernel = k;
-    code;
+    code = Array.of_list (List.rev b.code_rev);
     nf = max 1 b.nf;
     ni = max 1 b.ni;
     f_init = Array.of_list (List.rev b.f_inits);
@@ -710,5 +572,3 @@ let lower (k : Kernel.t) =
     reds;
     traps = Array.of_list (List.rev b.traps_rev);
   }
-
-let n_insns p = Array.length p.code / stride

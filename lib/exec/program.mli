@@ -1,69 +1,43 @@
-(* Flat register-machine bytecode lowered from a kernel body.
+(* Typed instructions lowered from a kernel body.
 
    [lower] resolves every operand of the (SSA-by-position) body to a slot in
    an unboxed float or int register file, splits immediates and scalar
    parameters into preloaded slots, assigns loop variables mirror slots, and
    reduces every affine memory access to a descriptor whose index function is
    a bind-time constant plus per-loop-depth element coefficients.  The
-   resulting program is compiled to OCaml closures by [Closure], over the
-   state arena of [Flat], with semantics bit-identical to [Vinterp.Interp],
-   traps included. *)
+   resulting instruction array is compiled to OCaml closures by [Closure],
+   over the state arena of [Flat], with semantics bit-identical to
+   [Vinterp.Interp], traps included. *)
 
-(* Instruction encoding: [stride] ints per instruction — opcode, destination
-   slot, then up to three sources (loads/stores carry an access id). *)
-val stride : int
-
-val op_fadd : int
-val op_fsub : int
-val op_fmul : int
-val op_fdiv : int
-val op_fmin : int
-val op_fmax : int
-val op_fneg : int
-val op_fabs : int
-val op_fsqrt : int
-val op_fma : int
-val op_fceq : int
-val op_fcne : int
-val op_fclt : int
-val op_fcle : int
-val op_fcgt : int
-val op_fcge : int
-val op_fsel : int
-val op_isel : int
-val op_fsel_t : int
-val op_fsel_f : int
-val op_isel_t : int
-val op_isel_f : int
-val op_f_of_i : int
-val op_i_of_f : int
-val op_fmov : int
-val op_imov : int
-val op_iadd : int
-val op_isub : int
-val op_imul : int
-val op_idiv : int
-val op_irem : int
-val op_imin : int
-val op_imax : int
-val op_iand : int
-val op_ior : int
-val op_ixor : int
-val op_ishl : int
-val op_ishr : int
-val op_ineg : int
-val op_iabs : int
-val op_inot : int
-val op_ld_ff : int
-val op_ld_fi : int
-val op_ld_if : int
-val op_ld_ii : int
-val op_st_ff : int
-val op_st_fi : int
-val op_st_if : int
-val op_st_ii : int
-val op_trap : int
-val op_count : int
+(** One instruction.  [d] is the destination slot and [a], [b], [c] are
+    source slots, in the register file the constructor names ([F]: float,
+    [I]: int); comparison results and select conditions are int slots
+    holding 0/1.  Loads and stores name an access descriptor ([acc], an
+    index into [accesses]) and read the array's storage kind from it; traps
+    name a message ([trap], an index into [traps]).  An operator outside its
+    file's vocabulary (an integer-only binop in [Fbin], [Not] in [Funary],
+    [Sqrt] in [Iunary]) traps as the interpreter does. *)
+type insn =
+  | Fbin of { op : Vir.Op.binop; d : int; a : int; b : int }
+  | Ibin of { op : Vir.Op.binop; d : int; a : int; b : int }
+  | Funary of { op : Vir.Op.unop; d : int; a : int }
+  | Iunary of { op : Vir.Op.unop; d : int; a : int }
+  | Fma of { d : int; a : int; b : int; c : int }  (** unfused [a * b + c] *)
+  | Fcmp of { op : Vir.Op.cmpop; d : int; a : int; b : int }
+      (** float sources, 0/1 result in the int file *)
+  | Fsel of { d : int; a : int; b : int; c : int }  (** [c ? a : b] *)
+  | Isel of { d : int; a : int; b : int; c : int }
+  | Fsel_trap of { d : int; a : int; trap : int; c : int; traps_if : bool }
+      (** a select whose other arm traps: raise when [c] is [traps_if],
+          else [d <- a] *)
+  | Isel_trap of { d : int; a : int; trap : int; c : int; traps_if : bool }
+  | F_of_i of { d : int; a : int }
+  | I_of_f of { d : int; a : int }
+  | Fload of { d : int; acc : int }
+  | Iload of { d : int; acc : int }
+  | Fstore of { acc : int; src : int }
+  | Istore of { acc : int; src : int }
+  | Trap of int  (** raise [Invalid_argument traps.(trap)] *)
 
 (* Sources for preloaded register slots, resolved when the program is bound
    to an environment. *)
@@ -105,7 +79,7 @@ type red = {
 
 type t = {
   kernel : Vir.Kernel.t;
-  code : int array;
+  code : insn array;
   nf : int;  (* float register file size *)
   ni : int;  (* int register file size *)
   f_init : (int * fsrc) array;
@@ -115,7 +89,7 @@ type t = {
   loops : loopdesc array;  (* outermost first *)
   accesses : access array;
   reds : red array;
-  traps : string array;  (* messages for [op_trap] / trapping selects *)
+  traps : string array;  (* messages for [Trap] and trapping selects *)
 }
 
 val array_decls : Vir.Kernel.t -> Vir.Kernel.array_decl array
@@ -128,4 +102,3 @@ val array_slot : Vir.Kernel.t -> string -> int
     @raise Invalid_argument on an undeclared name. *)
 
 val lower : Vir.Kernel.t -> t
-val n_insns : t -> int

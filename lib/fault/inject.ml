@@ -32,7 +32,6 @@ let env_plan () =
 let override : Plan.t option Atomic.t = Atomic.make None
 
 let set_active p = Atomic.set override (Some p)
-let clear_override () = Atomic.set override None
 
 let active () =
   match Atomic.get override with Some p -> p | None -> env_plan ()

@@ -21,9 +21,6 @@ val env_plan : unit -> Plan.t
 (** Install an override plan ({!Plan.empty} disables all injection). *)
 val set_active : Plan.t -> unit
 
-(** Drop the override; {!active} falls back to the environment. *)
-val clear_override : unit -> unit
-
 (** The plan decisions are made against right now. *)
 val active : unit -> Plan.t
 

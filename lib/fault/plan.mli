@@ -21,22 +21,12 @@
 type site = Measure | Cache | Pool | Sanitize | Serve
 
 val site_to_string : site -> string
-val site_of_string : string -> site option
 
 type kind =
   | Nan | Inf | Spike | Corrupt | Hang | Crash | Poison | Drop | Slow
   | Reject
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
-(** Whether [kind] can be injected at [site]. *)
-val valid_pair : site -> kind -> bool
-
-(** Default magnitude per kind: 16.0 for [Spike] (multiplier), 0.02 for
-    [Hang] (seconds), 0.05 for [Slow] (virtual service seconds), 1.0
-    otherwise. *)
-val default_magnitude : kind -> float
 
 type clause = { site : site; kind : kind; rate : float; magnitude : float }
 type t = { seed : int; clauses : clause list }

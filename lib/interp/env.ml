@@ -35,7 +35,6 @@ let ownership t name = if Hashtbl.mem t.frozen name then Frozen else Owned
    subsequent environment in the process. *)
 let frozen_guard = Atomic.make false
 let set_frozen_guard b = Atomic.set frozen_guard b
-let frozen_guard_enabled () = Atomic.get frozen_guard
 
 exception Frozen_write of string * int
 
@@ -320,9 +319,6 @@ let store t name =
   match Hashtbl.find_opt t.arrays name with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Env.store: unknown array %s" name)
-
-let length t name =
-  match store t name with F_arr a -> Array.length a | I_arr a -> Array.length a
 
 exception Out_of_bounds of string * int
 

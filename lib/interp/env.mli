@@ -26,8 +26,6 @@ val ownership : t -> string -> ownership
     ([Vexec.Sanitize]); off by default. *)
 val set_frozen_guard : bool -> unit
 
-val frozen_guard_enabled : unit -> bool
-
 exception Frozen_write of string * int
 
 (** Deterministic key-sorted fold over the process-wide memoized master
@@ -68,7 +66,6 @@ val set_trace : t -> (string -> int -> bool -> unit) -> unit
 val clear_trace : t -> unit
 val param : t -> string -> float
 val store : t -> string -> store
-val length : t -> string -> int
 
 val read_float : t -> string -> int -> float
 val read_int : t -> string -> int -> int

@@ -17,14 +17,8 @@ val red_combine : Vir.Op.redop -> float -> float -> float
 
 val red_neutral : Vir.Op.redop -> float
 
-(** Evaluate a subscript dimension under loop-variable bindings. *)
-val eval_dim : Env.t -> ndims:int -> (string * int) list -> Vir.Instr.dim -> int
-
 (** Row-major flat element index of an affine access. *)
 val flat_index : Env.t -> (string * int) list -> Vir.Instr.dim list -> int
-
-val eval_operand :
-  Env.t -> (string * int) list -> value array -> Vir.Instr.operand -> value
 
 (** Execute the body once for the given bindings; [accs] holds the reduction
     accumulators (parallel to [k.reductions]) and is updated in place.

@@ -254,14 +254,11 @@ let member k = function
   | _ -> None
 
 let str = function Str s -> Some s | _ -> None
-let num = function Num v -> Some v | _ -> None
 
 let int = function
   | Num v when Float.is_integer v && Float.abs v <= 1e9 -> Some (int_of_float v)
   | _ -> None
 
-let bool = function Bool b -> Some b | _ -> None
 let list = function List l -> Some l | _ -> None
 let mem_str k v = Option.bind (member k v) str
-let mem_num k v = Option.bind (member k v) num
 let mem_int k v = Option.bind (member k v) int

@@ -22,21 +22,16 @@ val to_string : t -> string
     Nesting deeper than [max_depth] is rejected. *)
 val parse : string -> (t, string) result
 
-val max_depth : int
-
 (** {2 Accessors} — all total. *)
 
 (** Object member lookup (first match). *)
 val member : string -> t -> t option
 
 val str : t -> string option
-val num : t -> float option
 val int : t -> int option
-val bool : t -> bool option
 val list : t -> t list option
 
 (** [mem_str "op" v] = member then {!str}. *)
 val mem_str : string -> t -> string option
 
-val mem_num : string -> t -> float option
 val mem_int : string -> t -> int option

@@ -91,14 +91,3 @@ let matmul a b =
   done;
   m
 
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%10.4g" (get m i j)
-    done;
-    Format.fprintf fmt "]@,"
-  done;
-  Format.fprintf fmt "@]"

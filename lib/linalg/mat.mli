@@ -22,4 +22,3 @@ val mat_vec : t -> float array -> float array
 val tmat_vec : t -> float array -> float array
 
 val matmul : t -> t -> t
-val pp : Format.formatter -> t -> unit

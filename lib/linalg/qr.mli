@@ -2,12 +2,6 @@
 
 exception Singular of string
 
-(** [factorize a b] returns [(r, qtb)] with [r] upper triangular and
-    [qtb = Q^T b], for [a] with at least as many rows as columns. *)
-val factorize : Mat.t -> float array -> Mat.t * float array
-
-val back_substitute : Mat.t -> float array -> float array
-
 (** Minimize [||a x - b||_2].  @raise Singular on rank deficiency. *)
 val lstsq : Mat.t -> float array -> float array
 

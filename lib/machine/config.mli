@@ -2,8 +2,6 @@
     machine dumps as a complete table and loads back exactly.  Lets users
     describe custom cores in a file. *)
 
-val header : string
-
 val to_string : Descr.t -> string
 val save : Descr.t -> string -> unit
 val of_string : string -> (Descr.t, string) result

@@ -50,7 +50,5 @@ val unit_count : t -> unit_kind -> int
 (** Natural vector factor for an element type. *)
 val vf_for : t -> Vir.Types.scalar -> int
 
-val widest_mem_bytes : Vir.Kernel.t -> int
-
 (** The VF LLVM would pick: from the widest type moved through memory. *)
 val vf_for_kernel : t -> Vir.Kernel.t -> int

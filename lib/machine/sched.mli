@@ -13,19 +13,8 @@ type bounds = {
     block for {!vector_estimate}. *)
 type estimate = { cycles : float; bounds : bounds }
 
-val bound_max : bounds -> float
-
-(** Longest def-use latency path between a load and a store of one
-    iteration; [None] when the loaded value does not feed the store. *)
-val chain_latency :
-  op_lat:(int -> float) -> Vir.Instr.t array -> load_pos:int -> store_pos:int ->
-  float option
-
 (** Longest def-use latency path through one body execution. *)
 val critical_path : op_lat:(int -> float) -> Vir.Instr.t array -> float
-
-(** Per-element bound imposed by memory-carried flow dependences. *)
-val memdep_bound : op_lat:(int -> float) -> Vir.Kernel.t -> float
 
 val scalar_estimate : Descr.t -> n:int -> Vir.Kernel.t -> estimate
 val vector_estimate : Descr.t -> n:int -> Vvect.Vinstr.vkernel -> estimate

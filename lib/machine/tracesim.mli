@@ -21,8 +21,6 @@ type stats = {
   bytes_moved_per_elem : float;
 }
 
-val hierarchy_of : Descr.mem -> Cache.config list
-
 (** Run the scalar kernel twice at size [n] on {!Vexec.Backend.default}, one
     environment for both, with every access simulated: a warm-up pass, then
     the measured pass the stats count. *)
@@ -33,8 +31,6 @@ val simulate : ?seed:int -> Descr.mem -> n:int -> Vir.Kernel.t -> stats
     past the last of them (DRAM past the last cache), or L1 when L1 itself
     misses at most 2%. *)
 val dominant_level : stats -> Memmodel.level
-
-val level_rank : Memmodel.level -> int
 
 (** Analytic vs simulated agreement, within one level of slack. *)
 val agrees : analytic:Memmodel.level -> simulated:Memmodel.level -> bool

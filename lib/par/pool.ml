@@ -106,8 +106,13 @@ let rec worker_loop pool =
           pool.alive <- pool.alive - 1;
           Mutex.unlock pool.mutex)
 
+(* A new domain starts with backtrace recording off, so a task failing on a
+   worker would carry an empty backtrace in [Task_failed]; the worker
+   records backtraces exactly when its spawner does. *)
 let spawn_worker pool =
+  let record = Printexc.backtrace_status () in
   Domain.spawn (fun () ->
+      Printexc.record_backtrace record;
       Domain.DLS.set in_worker true;
       worker_loop pool)
 
@@ -240,7 +245,6 @@ let ranges ~n ~chunk =
 let join_check : (unit -> unit) option Atomic.t = Atomic.make None
 
 let set_join_check f = Atomic.set join_check (Some f)
-let clear_join_check () = Atomic.set join_check None
 
 let run_join_check () =
   match Atomic.get join_check with Some f -> f () | None -> ()
@@ -350,9 +354,6 @@ let parallel_mapi_array ?pool ?chunk f arr =
     Array.map Option.get out
   end
 
-let parallel_map_array ?pool ?chunk f arr =
-  parallel_mapi_array ?pool ?chunk (fun _ x -> f x) arr
-
 let parallel_map ?pool ?chunk f l =
   match l with
   | [] -> []
@@ -361,7 +362,9 @@ let parallel_map ?pool ?chunk f l =
       with e ->
         let backtrace = Printexc.get_backtrace () in
         raise (Task_failed { index = 0; exn = e; backtrace }))
-  | _ -> Array.to_list (parallel_map_array ?pool ?chunk f (Array.of_list l))
+  | _ ->
+      Array.to_list
+        (parallel_mapi_array ?pool ?chunk (fun _ x -> f x) (Array.of_list l))
 
 (* --- supervised fan-out ---------------------------------------------------
 

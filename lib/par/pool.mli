@@ -62,8 +62,6 @@ val sequential : unit -> bool
     from any domain. *)
 val set_join_check : (unit -> unit) -> unit
 
-val clear_join_check : unit -> unit
-
 (** [parallel_map f l] = [List.map f l] for pure [f], computed on the pool
     ([?pool] defaults to the shared pool) in chunks of [?chunk] elements
     (default: a multiple of the pool size).  If any application raises,
@@ -75,10 +73,6 @@ val clear_join_check : unit -> unit
     in the calling domain: a worker domain would add cross-domain GC
     synchronisation without adding parallelism. *)
 val parallel_map : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Array variant of {!parallel_map}. *)
-val parallel_map_array :
-  ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** Array variant with the element index, [Array.mapi]-style. *)
 val parallel_mapi_array :

@@ -34,16 +34,6 @@ let admit b ~now =
     ok
   end
 
-let level b ~now =
-  if b.rate <= 0.0 then b.burst
-  else begin
-    Mutex.lock b.lock;
-    refill b ~now;
-    let v = b.tokens in
-    Mutex.unlock b.lock;
-    v
-  end
-
 module Family = struct
   type bucket = t
 

@@ -15,9 +15,6 @@ val create : rate:float -> burst:float -> t
     would refill retroactively). *)
 val admit : t -> now:float -> bool
 
-(** Tokens available at [now] (diagnostic). *)
-val level : t -> now:float -> float
-
 (** A keyed family of buckets, one per client id, capped at [max_clients]
     tracked clients (beyond the cap, clients share the overflow bucket —
     a hostile client cannot balloon the table). *)

@@ -73,11 +73,6 @@ type stats = {
   internal_errors : int;
 }
 
-let stats_names =
-  [ "received"; "answered"; "rejected_overload"; "rejected_rate";
-    "rejected_bad"; "deadline_errors"; "dropped"; "partials";
-    "degraded_baseline"; "degraded_lint_skipped"; "internal_errors" ]
-
 let stats_to_list s =
   [ ("received", s.received); ("answered", s.answered);
     ("rejected_overload", s.rejected_overload);

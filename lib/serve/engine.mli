@@ -49,9 +49,6 @@ type stats = {
   internal_errors : int;
 }
 
-val stats_names : string list
-val stats_to_list : stats -> (string * int) list
-
 type t
 
 (** Build an engine.  When [config.journal_path] names an existing
@@ -90,9 +87,3 @@ val handle_line :
     journal).  Called by transports on clean shutdown; crash-only
     restarts rely on the periodic checkpoints instead. *)
 val checkpoint : t -> unit
-
-(** Breaker states as [(stage, state, trips)], for health reporting. *)
-val breaker_states : t -> (string * string * int) list
-
-(** The health payload also served to [op = health] requests. *)
-val health_payload : t -> (string * Vjson.t) list

@@ -42,7 +42,6 @@ let create ~features () =
   { features; slot = Atomic.make baseline; reloads = Atomic.make 0;
     rejected = Atomic.make 0 }
 
-let features t = t.features
 let current t = Atomic.get t.slot
 let reloads t = Atomic.get t.reloads
 let rejected t = Atomic.get t.rejected

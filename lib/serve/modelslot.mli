@@ -29,8 +29,6 @@ type t
     validated against [features]. *)
 val create : features:Costmodel.Linmodel.feature_kind -> unit -> t
 
-val features : t -> Costmodel.Linmodel.feature_kind
-
 (** The currently-served model (lock-free read). *)
 val current : t -> loaded
 

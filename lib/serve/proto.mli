@@ -32,7 +32,6 @@ type error_code =
   | E_internal
 
 val error_code_to_string : error_code -> string
-val error_code_of_string : string -> error_code option
 
 (** A response: the request id, either a payload object or a typed error,
     plus the degraded-mode tags that applied (e.g. ["baseline-model"],

@@ -43,7 +43,3 @@ let pearson_ci ?iterations ?seed ?alpha xs ys =
     (fun a b -> Correlation.pearson a b)
     xs ys
 
-let spearman_ci ?iterations ?seed ?alpha xs ys =
-  paired_ci ?iterations ?seed ?alpha
-    (fun a b -> Correlation.spearman a b)
-    xs ys

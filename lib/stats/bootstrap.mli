@@ -1,16 +1,5 @@
 (** Percentile bootstrap confidence intervals (deterministic). *)
 
-(** CI of an arbitrary paired statistic under resampling with replacement.
-    Defaults: 1000 iterations, alpha = 0.05, fixed seed. *)
-val paired_ci :
-  ?iterations:int -> ?seed:int -> ?alpha:float ->
-  (float array -> float array -> float) -> float array -> float array ->
-  float * float
-
 val pearson_ci :
-  ?iterations:int -> ?seed:int -> ?alpha:float -> float array -> float array ->
-  float * float
-
-val spearman_ci :
   ?iterations:int -> ?seed:int -> ?alpha:float -> float array -> float array ->
   float * float

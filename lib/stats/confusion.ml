@@ -45,6 +45,3 @@ let recall t =
 
 let false_predictions t = t.fp + t.fn
 
-let pp fmt t =
-  Format.fprintf fmt "TP=%d TN=%d FP=%d FN=%d (acc %.2f)" t.tp t.tn t.fp t.fn
-    (accuracy t)

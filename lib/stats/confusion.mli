@@ -2,9 +2,6 @@
 
 type t = { tp : int; tn : int; fp : int; fn : int }
 
-val empty : t
-val add : t -> predicted:bool -> actual:bool -> t
-
 (** Classify speedups against a threshold (default 1.0). *)
 val of_speedups :
   ?threshold:float -> predicted:float array -> measured:float array -> unit -> t
@@ -14,4 +11,3 @@ val accuracy : t -> float
 val precision : t -> float
 val recall : t -> float
 val false_predictions : t -> int
-val pp : Format.formatter -> t -> unit

@@ -4,8 +4,6 @@
 
 type style = Neon | Avx
 
-val style_name : style -> string
-
 (** Render the scalar loop. *)
 val scalar : ?style:style -> Vir.Kernel.t -> string
 

@@ -4,8 +4,6 @@
     the original; use {!exact_for} to pick sizes where the transformation is
     exact. *)
 
-val redop_binop : Vir.Op.redop -> Vir.Op.binop
-
 (** Does the innermost trip count divide evenly at problem size [n]? *)
 val exact_for : n:int -> Vir.Kernel.t -> int -> bool
 

@@ -53,42 +53,6 @@ let access_to_string = function
   | Strided s -> Printf.sprintf "strided(%d)" s
   | Row -> "row"
 
-(* Whether the instruction produces a full vector (as opposed to a scalar). *)
-let is_vector_width = function
-  | Vbin _ | Vuna _ | Vfma _ | Vcmp _ | Vselect _ | Vload _ | Vgather _
-  | Viota _ | Vcast _ | Vpack _ ->
-      true
-  | Vextract _ | Sc _ -> false
-  | Vstore _ | Vscatter _ -> true (* no result; width only nominal *)
-
-let voperands = function
-  | Vbin { a; b; _ } | Vcmp { a; b; _ } -> [ a; b ]
-  | Vuna { a; _ } | Vcast { a; _ } -> [ a ]
-  | Vfma { a; b; c; _ } -> [ a; b; c ]
-  | Vselect { cond; if_true; if_false; _ } -> [ cond; if_true; if_false ]
-  | Vload _ | Viota _ | Vpack _ | Sc _ -> []
-  | Vstore { src; _ } -> [ src ]
-  | Vgather { idx; _ } -> [ idx ]
-  | Vscatter { idx; src; _ } -> [ idx; src ]
-  | Vextract { src; _ } -> [ src ]
-
-(* Vector register uses, including those reached through [Splat (Reg _)],
-   [Vpack] sources and [Sc] operands. *)
-let reg_uses instr =
-  let of_vop = function
-    | V r -> [ r ]
-    | Splat (Instr.Reg r) -> [ r ]
-    | Splat _ -> []
-  in
-  let direct = List.concat_map of_vop (voperands instr) in
-  match instr with
-  | Vpack { srcs; _ } ->
-      Array.to_list srcs
-      |> List.filter_map (function Instr.Reg r -> Some r | _ -> None)
-      |> List.append direct
-  | Sc { instr; _ } -> List.append direct (Instr.reg_uses instr)
-  | _ -> direct
-
 type source = Src_llv | Src_slp
 
 type vreduction = {

@@ -40,14 +40,6 @@ type t =
 
 val access_to_string : access -> string
 
-(** Whether the instruction produces a full vector (scalar otherwise). *)
-val is_vector_width : t -> bool
-
-val voperands : t -> voperand list
-
-(** Vbody register uses, including Splat/Vpack/Sc-reached ones. *)
-val reg_uses : t -> int list
-
 type source = Src_llv | Src_slp
 
 type vreduction = {

@@ -23,24 +23,13 @@ type classified = { c_verdict : verdict; c_violation : violation }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** Interpreter default binding for a declared parameter, as subscript
-    evaluation reads it ([int_of_float (1 + 0.5*(i+1))]); [None] when the
-    kernel does not declare the parameter. *)
-val param_default : Kernel.t -> string -> int option
-
 (** Contract window a parameter's runtime value is drawn from: the
     environment's [1, 4] data window stretched to include the actual
     default binding. *)
 val param_contract : Kernel.t -> string -> int * int
 
-(** Classified violations at one specific problem size. *)
-val classify_at : n:int -> Kernel.t -> classified list
-
 (** Classified violations over all witness sizes. *)
 val classify : Kernel.t -> classified list
-
-(** Violations at one specific problem size, verdicts erased. *)
-val check_at : n:int -> Kernel.t -> violation list
 
 (** Violations over all witness sizes; empty means provably safe. *)
 val check : Kernel.t -> violation list

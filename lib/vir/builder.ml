@@ -170,7 +170,6 @@ let absf b x = una b Types.F32 Op.Abs x
 let sqrtf b x = una b Types.F32 Op.Sqrt x
 
 let addi b x y = bin b Types.I32 Op.Add x y
-let subi b x y = bin b Types.I32 Op.Sub x y
 let muli b x y = bin b Types.I32 Op.Mul x y
 
 let reduce b ?(ty = Types.F32) ?(init = 0.0) name op src =

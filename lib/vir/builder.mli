@@ -67,7 +67,6 @@ val absf : t -> Instr.operand -> Instr.operand
 val sqrtf : t -> Instr.operand -> Instr.operand
 
 val addi : t -> Instr.operand -> Instr.operand -> Instr.operand
-val subi : t -> Instr.operand -> Instr.operand -> Instr.operand
 val muli : t -> Instr.operand -> Instr.operand -> Instr.operand
 
 (** Declare a reduction accumulating [src] with [op] each innermost iteration. *)

@@ -23,8 +23,6 @@ let scale c r =
   if c >= 0 then { lo = c * r.lo; hi = c * r.hi }
   else { lo = c * r.hi; hi = c * r.lo }
 
-let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
-let contains r v = r.lo <= v && v <= r.hi
 let within r ~lo ~hi = lo <= r.lo && r.hi <= hi
 
 (* Values taken by a loop variable driven as

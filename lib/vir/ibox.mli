@@ -9,14 +9,6 @@ type t = { lo : int; hi : int }  (** nonempty inclusive interval *)
 val make : int -> int -> t
 
 val point : int -> t
-val add : t -> t -> t
-
-(** [scale c r] is the exact image {c*v | v in r} (endpoints swap for
-    negative [c]). *)
-val scale : int -> t -> t
-
-val join : t -> t -> t
-val contains : t -> int -> bool
 
 (** [within r ~lo ~hi] iff r is contained in the inclusive range. *)
 val within : t -> lo:int -> hi:int -> bool

@@ -65,7 +65,6 @@ let reg_uses instr =
 
 let is_store = function Store _ -> true | _ -> false
 let is_load = function Load _ -> true | _ -> false
-let is_memory_access = function Load _ | Store _ -> true | _ -> false
 
 (* The result element type of an instruction, when it defines a value.
    [Cmp] results are boolean masks; we report the comparison operand type

@@ -31,8 +31,6 @@ type t =
   | Store of { ty : Types.scalar; addr : addr; src : operand }
   | Cast of { src_ty : Types.scalar; dst_ty : Types.scalar; a : operand }
 
-val equal_operand : operand -> operand -> bool
-
 (** A constant subscript dimension. *)
 val dim_const : ?rel_n:bool -> int -> dim
 
@@ -44,7 +42,6 @@ val reg_uses : t -> int list
 
 val is_store : t -> bool
 val is_load : t -> bool
-val is_memory_access : t -> bool
 
 (** Result element type, [None] for stores. *)
 val result_ty : t -> Types.scalar option
@@ -57,12 +54,6 @@ val accessed_array : t -> string option
 (** Rewrite every operand (including indirect-address indices). *)
 val map_operands : (operand -> operand) -> t -> t
 
-(** Canonical form of a dim: zero coefficients dropped, terms sorted. *)
-val normalize_dim : dim -> dim
-
-(** Equality of the denoted index function (by normal form). *)
-val equal_dim : dim -> dim -> bool
-
 val normalize_addr : addr -> addr
 
 (** Syntactic address identity: same location on every iteration.  [false]
@@ -71,5 +62,4 @@ val equal_addr : addr -> addr -> bool
 
 (** Shift affine subscripts of [var] by [delta] iterations (unrolling). *)
 val shift_dim : string -> int -> dim -> dim
-val shift_addr : string -> int -> addr -> addr
 val shift_var : string -> int -> t -> t

@@ -60,11 +60,6 @@ let innermost k =
 let find_array k name =
   List.find_opt (fun d -> String.equal d.arr_name name) k.arrays
 
-let array_ty_exn k name =
-  match find_array k name with
-  | Some d -> d.arr_ty
-  | None -> invalid_arg (Printf.sprintf "Kernel.array_ty_exn: %s" name)
-
 (* Integer square root, for the 2-d extents. *)
 let isqrt n =
   if n <= 0 then 0
@@ -136,36 +131,6 @@ let footprint_bytes ~n k =
   List.fold_left
     (fun acc d -> acc + (extent_elems ~n d.arr_extent * Types.size_bytes d.arr_ty))
     0 k.arrays
-
-(* Arrays the body may write (resp. read).  These are recursive walkers
-   rather than flat [List.iter] scans: the runtime's master-buffer aliasing
-   decisions (see [Vinterp.Env.create ~readonly]) are only sound if the
-   write set is complete, so any future compound/nested instruction form
-   must extend [walk] here — call sites that used to pattern-match [Store]
-   at the top level of the body would have silently widened aliasing
-   instead.  Results are sorted and duplicate-free. *)
-let collect_arrays ~f k =
-  let tbl = Hashtbl.create 8 in
-  let rec walk = function
-    | [] -> ()
-    | instr :: rest ->
-        List.iter (fun a -> Hashtbl.replace tbl a ()) (f instr);
-        walk rest
-  in
-  walk k.body;
-  List.sort String.compare (Hashtbl.fold (fun a () acc -> a :: acc) tbl [])
-
-let written_arrays k =
-  collect_arrays k ~f:(function
-    | Instr.Store { addr; _ } -> [ Instr.addr_array addr ]
-    | Instr.Bin _ | Una _ | Fma _ | Cmp _ | Select _ | Load _ | Cast _ -> [])
-
-(* An indirect access reads its index array through the register that loaded
-   the index, so the [Load] case already accounts for it. *)
-let read_arrays k =
-  collect_arrays k ~f:(function
-    | Instr.Load { addr; _ } -> [ Instr.addr_array addr ]
-    | Instr.Bin _ | Una _ | Fma _ | Cmp _ | Select _ | Store _ | Cast _ -> [])
 
 let has_reduction k = k.reductions <> []
 let loop_vars k = List.map (fun l -> l.var) k.loops

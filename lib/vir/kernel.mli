@@ -37,7 +37,6 @@ type t = {
 val innermost : t -> loop
 
 val find_array : t -> string -> array_decl option
-val array_ty_exn : t -> string -> Types.scalar
 
 val isqrt : int -> int
 val trip_bound : n:int -> trip -> int
@@ -55,14 +54,6 @@ type stride = Sconst of int | Srow of int | Sindirect
 
 val coeff_of : string -> Instr.dim -> int
 val access_stride : t -> Instr.addr -> stride
-
-(** Sorted, duplicate-free set of arrays the body may write (resp. read).
-    The single source of truth for master-buffer aliasing decisions: a
-    recursive body walker, so future compound instruction forms cannot be
-    silently skipped the way a top-level [Store] scan would. *)
-val written_arrays : t -> string list
-
-val read_arrays : t -> string list
 
 val bytes_per_iteration : t -> int
 val footprint_bytes : n:int -> t -> int

@@ -66,8 +66,6 @@ let binop_commutative = function
   | Sub | Div | Rem | Shl | Shr -> false
 
 let all_binops = [ Add; Sub; Mul; Div; Rem; Min; Max; And; Or; Xor; Shl; Shr ]
-let all_unops = [ Neg; Abs; Sqrt; Not ]
-let all_cmpops = [ Eq; Ne; Lt; Le; Gt; Ge ]
 let all_redops = [ Rsum; Rprod; Rmin; Rmax ]
 
 (* Integer-only / float-only restrictions used by the validator. *)

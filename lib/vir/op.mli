@@ -31,6 +31,4 @@ val unop_float_only : unop -> bool
 val unop_int_only : unop -> bool
 
 val all_binops : binop list
-val all_unops : unop list
-val all_cmpops : cmpop list
 val all_redops : redop list

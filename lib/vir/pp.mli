@@ -1,15 +1,10 @@
 (** Pretty-printing of kernels in a C-like surface syntax. *)
 
-val operand : Format.formatter -> Instr.operand -> unit
 val dim : Format.formatter -> Instr.dim -> unit
-val addr : Format.formatter -> Instr.addr -> unit
 
 (** [instr fmt pos i] prints instruction [i] as the definition of register
     [pos]. *)
 val instr : Format.formatter -> int -> Instr.t -> unit
 
-val trip : Format.formatter -> Kernel.trip -> unit
 val loop : Format.formatter -> Kernel.loop -> unit
-val reduction : Format.formatter -> Kernel.reduction -> unit
-val kernel : Format.formatter -> Kernel.t -> unit
 val kernel_to_string : Kernel.t -> string

@@ -19,6 +19,4 @@ let to_string = function
   | F32 -> "f32"
   | F64 -> "f64"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let all = [ I32; I64; F32; F64 ]

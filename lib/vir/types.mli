@@ -10,7 +10,6 @@ val is_int : scalar -> bool
 val size_bytes : scalar -> int
 
 val to_string : scalar -> string
-val pp : Format.formatter -> scalar -> unit
 
 (** All element types, in a fixed order. *)
 val all : scalar list

@@ -132,52 +132,63 @@ let test_backend_selection () =
     Backend.all;
   check "flat is not a backend" true (Backend.of_string "flat" = None)
 
-(* --- opcode encoding ------------------------------------------------------ *)
-
-(* The closure compiler matches on integer literals; this pins the
-   [Program] constants those literals must equal. *)
-let test_opcode_encoding () =
-  let expected =
-    [ (Program.op_fadd, 0); (Program.op_fsub, 1); (Program.op_fmul, 2);
-      (Program.op_fdiv, 3); (Program.op_fmin, 4); (Program.op_fmax, 5);
-      (Program.op_fneg, 6); (Program.op_fabs, 7); (Program.op_fsqrt, 8);
-      (Program.op_fma, 9); (Program.op_fceq, 10); (Program.op_fcne, 11);
-      (Program.op_fclt, 12); (Program.op_fcle, 13); (Program.op_fcgt, 14);
-      (Program.op_fcge, 15); (Program.op_fsel, 16); (Program.op_isel, 17);
-      (Program.op_fsel_t, 18); (Program.op_fsel_f, 19); (Program.op_isel_t, 20);
-      (Program.op_isel_f, 21); (Program.op_f_of_i, 22); (Program.op_i_of_f, 23);
-      (Program.op_fmov, 24); (Program.op_imov, 25); (Program.op_iadd, 26);
-      (Program.op_isub, 27); (Program.op_imul, 28); (Program.op_idiv, 29);
-      (Program.op_irem, 30); (Program.op_imin, 31); (Program.op_imax, 32);
-      (Program.op_iand, 33); (Program.op_ior, 34); (Program.op_ixor, 35);
-      (Program.op_ishl, 36); (Program.op_ishr, 37); (Program.op_ineg, 38);
-      (Program.op_iabs, 39); (Program.op_inot, 40); (Program.op_ld_ff, 41);
-      (Program.op_ld_fi, 42); (Program.op_ld_if, 43); (Program.op_ld_ii, 44);
-      (Program.op_st_ff, 45); (Program.op_st_fi, 46); (Program.op_st_if, 47);
-      (Program.op_st_ii, 48); (Program.op_trap, 49) ]
-  in
-  List.iteri
-    (fun i (actual, want) ->
-      check_int (Printf.sprintf "opcode %d" i) want actual)
-    expected;
-  check_int "op_count" 50 Program.op_count;
-  (* Every lowered registry kernel stays inside the opcode space. *)
-  List.iter
-    (fun k ->
-      let p = Program.lower k in
-      Array.iteri
-        (fun i v ->
-          if i mod Program.stride = 0 then
-            check
-              (Printf.sprintf "%s opcode in range" k.Kernel.name)
-              true
-              (v >= 0 && v < Program.op_count))
-        p.Program.code)
-    Tsvc.Registry.kernels
-
 (* --- registry-wide equivalence -------------------------------------------- *)
 
 let registry_entries = Tsvc.Registry.all @ Tsvc.Registry.typed_extension
+
+(* --- lowered programs ---------------------------------------------------- *)
+
+(* [Closure] reads register slots, access ids and loop depths with
+   [unsafe_get], so a lowering bug there would corrupt memory silently
+   instead of trapping: every index a lowered program holds must lie inside
+   the array it indexes. *)
+let test_lowered_well_formed () =
+  List.iter
+    (fun (e : Tsvc.Registry.entry) ->
+      let p = Program.lower e.kernel in
+      let inside what n x =
+        if x < 0 || x >= n then
+          Alcotest.failf "%s: %s %d outside [0, %d)" e.kernel.Kernel.name
+            what x n
+      in
+      let f = inside "float slot" p.nf and i = inside "int slot" p.ni in
+      let acc = inside "access id" (Array.length p.accesses) in
+      let trap = inside "trap id" (Array.length p.traps) in
+      let depth = inside "loop depth" (Array.length p.loops) in
+      Array.iter
+        (fun (insn : Program.insn) ->
+          match insn with
+          | Fbin { d; a; b; _ } -> f d; f a; f b
+          | Ibin { d; a; b; _ } -> i d; i a; i b
+          | Funary { d; a; _ } -> f d; f a
+          | Iunary { d; a; _ } -> i d; i a
+          | Fma { d; a; b; c } -> f d; f a; f b; f c
+          | Fcmp { d; a; b; _ } -> i d; f a; f b
+          | Fsel { d; a; b; c } -> f d; f a; f b; i c
+          | Isel { d; a; b; c } -> i d; i a; i b; i c
+          | Fsel_trap { d; a; trap = t; c; _ } -> f d; f a; trap t; i c
+          | Isel_trap { d; a; trap = t; c; _ } -> i d; i a; trap t; i c
+          | F_of_i { d; a } -> f d; i a
+          | I_of_f { d; a } -> i d; f a
+          | Fload { d; acc = a } -> f d; acc a
+          | Iload { d; acc = a } -> i d; acc a
+          | Fstore { acc = a; src } -> acc a; f src
+          | Istore { acc = a; src } -> acc a; i src
+          | Trap t -> trap t)
+        p.code;
+      Array.iter
+        (fun (a : Program.access) ->
+          inside "array slot" (Array.length p.arr_names) a.acc_arr;
+          if a.acc_ind >= 0 then i a.acc_ind;
+          Array.iter (fun (t : Program.aterm) -> depth t.t_depth) a.acc_terms)
+        p.accesses;
+      Array.iter
+        (fun (l : Program.loopdesc) ->
+          if l.l_islot >= 0 then i l.l_islot;
+          if l.l_fslot >= 0 then f l.l_fslot)
+        p.loops;
+      Array.iter (fun (r : Program.red) -> f r.rd_slot) p.reds)
+    (registry_entries @ Vapps.Registry.as_tsvc_entries)
 
 let test_registry_equivalence () =
   List.iter
@@ -443,7 +454,8 @@ let test_cache_backend_attribution () =
 let tests =
   [ Alcotest.test_case "backend selection: interp and closure" `Quick
       test_backend_selection;
-    Alcotest.test_case "opcode encoding pinned" `Quick test_opcode_encoding;
+    Alcotest.test_case "lowered programs are well formed" `Quick
+      test_lowered_well_formed;
     Alcotest.test_case "registry: closure matches interp" `Slow
       test_registry_equivalence;
     Alcotest.test_case "transformed: closure matches interp" `Slow
