@@ -17,6 +17,16 @@ open Costmodel
 
 (* Every --json surface prints one {!Vjson} value on one line. *)
 let print_json v = print_endline (Vjson.to_string v)
+
+(* An error the input caused: one line on stderr, exit 1, nothing on
+   stdout. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("vecmodel: " ^ msg);
+      exit 1)
+    fmt
+
 let json_int n = Vjson.Num (float_of_int n)
 
 let machine_names = List.map (fun m -> m.Vmachine.Descr.name) Vmachine.Machines.all
@@ -54,7 +64,7 @@ let machine_arg =
     | Some path -> (
         match Vmachine.Config.load path with
         | Ok m' -> m'
-        | Error e -> failwith (Printf.sprintf "cannot load %s: %s" path e))
+        | Error e -> fail "--machine-file: %s" e)
   in
   Term.(const resolve $ base $ machine_file_arg)
 
@@ -98,6 +108,17 @@ let method_arg =
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the output as JSON on stdout.")
+
+(* A vector factor below 2 is a usage error (exit 124), raised while the
+   command line is parsed. *)
+let vf_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok vf when vf < 2 ->
+        Error (`Msg (Printf.sprintf "vector factor %d must be >= 2" vf))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 (* --- kernels -----------------------------------------------------------------
    Names resolve while the command line is parsed, so an unknown kernel is a
@@ -368,7 +389,7 @@ let lint_cmd =
   in
   let vfs_arg =
     Arg.(
-      value & opt_all int []
+      value & opt_all vf_conv []
       & info [ "vf" ] ~docv:"N"
           ~doc:"Vectorization factor to validate at (repeatable). Default: 2 4 8.")
   in
@@ -379,11 +400,6 @@ let lint_cmd =
           ~doc:"Also print Info diagnostics and skipped configurations.")
   in
   let run kernels transforms vfs json verbose =
-    (match List.find_opt (fun vf -> vf < 2) vfs with
-    | Some vf ->
-        Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
-        exit 124
-    | None -> ());
     let transforms = if transforms = [] then None else Some transforms in
     let vfs = if vfs = [] then None else Some vfs in
     let reports =
@@ -421,18 +437,13 @@ let deps_cmd =
   in
   let vfs_arg =
     Arg.(
-      value & opt_all int []
+      value & opt_all vf_conv []
       & info [ "vf" ] ~docv:"N"
           ~doc:
             "Vectorization factor for the cross-check (repeatable). \
              Default: 2 4 8.")
   in
   let run kernels json crosscheck vfs =
-    (match List.find_opt (fun vf -> vf < 2) vfs with
-    | Some vf ->
-        Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
-        exit 124
-    | None -> ());
     let vfs = if vfs = [] then None else Some vfs in
     if crosscheck then begin
       let configs = Vanalysis.Depsreport.crosscheck ?vfs kernels in
@@ -500,7 +511,7 @@ let effects_cmd =
   in
   let vfs_arg =
     Arg.(
-      value & opt_all int []
+      value & opt_all vf_conv []
       & info [ "vf" ] ~docv:"N"
           ~doc:
             "Vectorization factor for the cross-check (repeatable). \
@@ -513,11 +524,6 @@ let effects_cmd =
           ~doc:"Problem size the affine regions are computed at.")
   in
   let run kernels json crosscheck vfs n =
-    (match List.find_opt (fun vf -> vf < 2) vfs with
-    | Some vf ->
-        Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
-        exit 124
-    | None -> ());
     let vfs = if vfs = [] then None else Some vfs in
     if crosscheck then begin
       let configs = Vanalysis.Effect.crosscheck ?vfs kernels in
@@ -568,7 +574,7 @@ let effects_cmd =
 let absint_cmd =
   let vf_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some vf_conv) None
       & info [ "vf" ] ~docv:"N"
           ~doc:
             "Vector factor for the alignment classification (>= 2).  Without \
@@ -580,11 +586,6 @@ let absint_cmd =
       & info [ "n" ] ~docv:"N" ~doc:"Problem size to analyze at.")
   in
   let run (entry : Tsvc.Registry.entry) vf n json =
-    (match vf with
-    | Some v when v < 2 ->
-        Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" v;
-        exit 124
-    | _ -> ());
     let summary = Vanalysis.Absint.analyze ?vf ~n entry.kernel in
     if json then print_json (Vanalysis.Absint.summary_to_json summary)
     else Vanalysis.Absint.print_summary summary
@@ -636,7 +637,7 @@ let opt_cmd =
 let certify_cmd =
   let vf_arg =
     Arg.(
-      value & opt int Vanalysis.Cert.default_vf
+      value & opt vf_conv Vanalysis.Cert.default_vf
       & info [ "vf" ] ~docv:"N"
           ~doc:"Vector factor for the alignment annotations. Default: 4.")
   in
@@ -651,10 +652,6 @@ let certify_cmd =
              to beat the bind-time interval check. Exit 1 on any failure.")
   in
   let run kernels vf json gate =
-    if vf < 2 then begin
-      Printf.eprintf "vecmodel: --vf %d: vector factor must be >= 2\n" vf;
-      exit 124
-    end;
     let ks =
       List.sort (fun (a : Vir.Kernel.t) b -> String.compare a.name b.name)
         kernels
@@ -726,11 +723,15 @@ let simulate_cmd =
       | Dataset.Llv -> (
           match Vvect.Llv.vectorize ~vf e.kernel with
           | Ok vk -> vk
-          | Error err -> failwith (Vvect.Llv.error_to_string err))
+          | Error err ->
+              fail "%s: %s" e.kernel.Vir.Kernel.name
+                (Vvect.Llv.error_to_string err))
       | Dataset.Slp -> (
           match Vvect.Slp.vectorize ~vf e.kernel with
           | Ok vk -> vk
-          | Error err -> failwith (Vvect.Slp.error_to_string err))
+          | Error err ->
+              fail "%s: %s" e.kernel.Vir.Kernel.name
+                (Vvect.Slp.error_to_string err))
     in
     let m = Vmachine.Measure.measure machine ~n vk in
     Printf.printf "kernel %s on %s (%s, VF %d, n = %d)\n"
@@ -818,14 +819,16 @@ let predict_cmd =
       backend =
     apply_backend backend;
     match Linmodel.load model_path with
-    | Error e -> failwith e
+    | Error e -> fail "--model: %s" e
     | Ok m -> (
         match Dataset.build ~machine ~transform ~n [ entry ] with
         | [ sample ] ->
             Printf.printf "kernel %s: predicted speedup %.2f (measured %.2f)\n"
               entry.kernel.Vir.Kernel.name (Linmodel.predict m sample)
               sample.Dataset.measured
-        | _ -> failwith "kernel is not vectorizable by this transform")
+        | _ ->
+            fail "%s: not vectorizable by this transform"
+              entry.kernel.Vir.Kernel.name)
   in
   Cmd.v
     (Cmd.info "predict" ~doc:"Predict one kernel's speedup with a saved model")

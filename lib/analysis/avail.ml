@@ -11,26 +11,13 @@
    Loads participate with the usual kill rule: a load is available only
    until the next store to its array (array-granular memory dependence,
    the same conservative rule the vectorizer's dependence tests use).
-   Stores never define a value and kill by array name.
-
-   [across] additionally marks expressions whose value survives the back
-   edge of the innermost loop — invariant operands and, for loads, an
-   array no store in the body writes — i.e. the expressions LICM may hoist
-   into the preheader prefix. *)
+   Stores never define a value and kill by array name. *)
 
 open Vir
 
-type t = {
-  ssa : Ssa.t;
-  leader : int array;
-      (* earliest dominating position computing the same value;
-         leader.(p) = p when the position is its own leader *)
-  avail_in : int array;
-      (* number of distinct expression values available before each
-         position *)
-  across : bool array;
-      (* value survives the innermost back edge (hoistable) *)
-}
+(* Earliest dominating position computing the same value; leader.(p) = p
+   when the position is its own leader. *)
+type t = int array
 
 (* Canonical form used as the hash key: operands rewritten to their
    leaders, commutative operand pairs sorted, addresses normalized. *)
@@ -52,18 +39,14 @@ let canonical leader instr =
       Instr.Store { ty; addr = Instr.normalize_addr addr; src }
   | i -> i
 
-let analyze ?df (k : Kernel.t) =
-  let ssa = Ssa.of_kernel k in
-  let df = match df with Some d -> d | None -> Dataflow.analyze k in
-  let body = ssa.Ssa.body in
+let analyze (k : Kernel.t) =
+  Ssa.check k;
+  let body = Array.of_list k.Kernel.body in
   let n = Array.length body in
   let leader = Array.init n (fun i -> i) in
-  let avail_in = Array.make n 0 in
-  let across = Array.make n false in
   let seen : (Instr.t, int) Hashtbl.t = Hashtbl.create 16 in
   let store_seen : (string, int) Hashtbl.t = Hashtbl.create 4 in
   for pos = 0 to n - 1 do
-    avail_in.(pos) <- Hashtbl.length seen;
     let instr = canonical leader body.(pos) in
     match instr with
     | Instr.Store { addr; _ } ->
@@ -77,24 +60,16 @@ let analyze ?df (k : Kernel.t) =
         in
         match Hashtbl.find_opt seen instr with
         | Some prev
-          when Ssa.def_dominates_use ssa ~def:prev ~use:pos
+          when Ssa.def_dominates_use ~len:n ~def:prev ~use:pos
                && not (killed prev) ->
             leader.(pos) <- prev
         | _ -> Hashtbl.replace seen instr pos)
     | _ -> (
         match Hashtbl.find_opt seen instr with
-        | Some prev when Ssa.def_dominates_use ssa ~def:prev ~use:pos ->
+        | Some prev when Ssa.def_dominates_use ~len:n ~def:prev ~use:pos ->
             leader.(pos) <- prev
         | _ -> Hashtbl.replace seen instr pos)
   done;
-  Array.iteri
-    (fun pos instr ->
-      across.(pos) <-
-        (not (Instr.is_store instr))
-        && leader.(pos) = pos
-        && df.Dataflow.invariant.(pos))
-    body;
-  { ssa; leader; avail_in; across }
+  leader
 
-let leader_of t pos = t.leader.(pos)
-let redundant t pos = t.leader.(pos) <> pos
+let leader_of t pos = t.(pos)

@@ -154,12 +154,12 @@ let license (c : t) =
        c.ct_accesses)
 
 (* The bind-time baseline: how many accesses [Closure.affine_safe] alone
-   licenses for the default environment at problem size [n].  All-or-
+   licenses for the default environment at problem size 1024.  All-or-
    nothing per kernel, affine accesses only. *)
-let bind_time_guard_free ?(n = 1024) (k : Kernel.t) =
+let bind_time_guard_free (k : Kernel.t) =
   let prog = Vexec.Program.lower k in
   let st = Vexec.Flat.create prog in
-  let env = Env.create ~n k in
+  let env = Env.create ~n:1024 k in
   Vexec.Flat.bind st env;
   if Vexec.Closure.affine_safe st then
     Array.fold_left
@@ -238,7 +238,10 @@ let check_licensed (k : Kernel.t) (c : t) =
                k.Kernel.name n arr idx))
     gate_sizes
 
-let gate ?(floor = 0.25) (pairs : (Kernel.t * t) list) =
+(* The certified fraction every gated registry must reach. *)
+let frac_floor = 0.25
+
+let gate (pairs : (Kernel.t * t) list) =
   let failures =
     Vpar.Pool.parallel_map
       (fun (k, c) -> if c.ct_guard_free then check_licensed k c else [])
@@ -260,12 +263,12 @@ let gate ?(floor = 0.25) (pairs : (Kernel.t * t) list) =
     if accesses = 0 then failures
     else
       let frac = float_of_int safe /. float_of_int accesses in
-      if frac < floor then
+      if frac < frac_floor then
         failures
         @ [
             Printf.sprintf
               "certified fraction %.3f below the %.2f floor (%d/%d accesses)"
-              frac floor safe accesses;
+              frac frac_floor safe accesses;
           ]
       else failures
   in

@@ -47,10 +47,10 @@ val safe_frac : t -> float
 
 val license : t -> Vexec.License.t
 
-val bind_time_guard_free : ?n:int -> Vir.Kernel.t -> int
+val bind_time_guard_free : Vir.Kernel.t -> int
 (** Baseline: accesses licensed by the per-bind interval check alone for
-    the default environment at size [n] (default 1024) — all-or-nothing
-    per kernel and affine-only. *)
+    the default environment at size 1024 — all-or-nothing per kernel and
+    affine-only. *)
 
 val to_json : t -> Vjson.t
 (** Deterministic JSON (stable field order, sorted by access id);
@@ -69,11 +69,11 @@ type gate = {
   g_failures : string list;
 }
 
-val gate : ?floor:float -> (Vir.Kernel.t * t) list -> gate
+val gate : (Vir.Kernel.t * t) list -> gate
 (** The soundness gate: every guard-free kernel is executed under its
     license and cross-checked against the reference interpreter (any
     refuted license or divergence is a failure), the certified fraction
-    must reach [floor] (default 0.25), and the static certificates must
+    must reach 0.25, and the static certificates must
     license strictly more accesses than the bind-time interval check. *)
 
 val gate_pass : gate -> bool

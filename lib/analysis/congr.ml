@@ -28,10 +28,6 @@ let limit = 1 lsl 31
 
 let guard c = if abs c.r > limit || c.m > limit then top else c
 
-let join a b =
-  if a.m = 0 && b.m = 0 && a.r = b.r then a
-  else guard (make (gcd (gcd a.m b.m) (a.r - b.r)) a.r)
-
 let add a b = guard (make (gcd a.m b.m) (a.r + b.r))
 
 (* (m1 Z + r1)(m2 Z + r2) expands to m1 m2 Z^2 + m1 r2 Z + m2 r1 Z + r1 r2;

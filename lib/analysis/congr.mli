@@ -10,7 +10,6 @@ val make : int -> int -> t
 
 val const : int -> t
 val top : t
-val join : t -> t -> t
 val add : t -> t -> t
 val mul_const : int -> t -> t
 

@@ -14,8 +14,6 @@ type const = Cint of int | Cfloat of float
 type t = {
   kernel : Kernel.t;
   body : Instr.t array;
-  users : int list array;
-      (* positions whose operands read register [r], in body order *)
   reduction_uses : int array;  (* times register [r] feeds a reduction *)
   live : bool array;
       (* value transitively reaches a store or a reduction *)
@@ -23,8 +21,6 @@ type t = {
   invariant : bool array;
       (* value is the same on every iteration of the innermost loop *)
 }
-
-let use_count t r = List.length t.users.(r) + t.reduction_uses.(r)
 
 (* --- constant propagation ------------------------------------------------ *)
 
@@ -73,20 +69,11 @@ let fold_unop_int op a =
 let analyze (k : Kernel.t) : t =
   let body = Array.of_list k.Kernel.body in
   let n = Array.length body in
-  let users = Array.make n [] in
   let reduction_uses = Array.make n 0 in
   let live = Array.make n false in
   let consts = Array.make n None in
   let invariant = Array.make n false in
   let inner = Kernel.innermost k in
-  (* Def-use chains. *)
-  Array.iteri
-    (fun pos instr ->
-      List.iter
-        (fun r -> if r >= 0 && r < n then users.(r) <- pos :: users.(r))
-        (Instr.reg_uses instr))
-    body;
-  Array.iteri (fun r us -> users.(r) <- List.rev us) users;
   List.iter
     (fun (red : Kernel.reduction) ->
       match red.red_src with
@@ -191,7 +178,7 @@ let analyze (k : Kernel.t) : t =
         | Instr.Select _ | Instr.Cast _ ->
             List.for_all operand_invariant (Instr.operands instr)))
     body;
-  { kernel = k; body; users; reduction_uses; live; consts; invariant }
+  { kernel = k; body; reduction_uses; live; consts; invariant }
 
 let operand_invariant t = function
   | Instr.Imm_int _ | Instr.Imm_float _ | Instr.Param _ -> true

@@ -1,5 +1,5 @@
-(** Dataflow facts over the SSA-by-position scalar body: def-use chains,
-    liveness towards stores/reductions, reaching constants and
+(** Dataflow facts over the SSA-by-position scalar body: reduction use
+    counts, liveness towards stores/reductions, reaching constants and
     innermost-loop invariance.  Lint passes consume these facts. *)
 
 open Vir
@@ -9,15 +9,11 @@ type const = Cint of int | Cfloat of float
 type t = {
   kernel : Kernel.t;
   body : Instr.t array;
-  users : int list array;
   reduction_uses : int array;
   live : bool array;
   consts : const option array;
   invariant : bool array;
 }
-
-(** Total number of reads of register [r] (body operands + reductions). *)
-val use_count : t -> int -> int
 
 val analyze : Kernel.t -> t
 

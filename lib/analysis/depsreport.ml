@@ -22,15 +22,11 @@ type summary = {
   s_legality : L.t;
 }
 
-let summarize ?vfs (k : Kernel.t) : summary =
-  {
-    s_kernel = k.Kernel.name;
-    s_graph = G.build k;
-    s_legality = L.summarize ?vfs k;
-  }
+let summarize (k : Kernel.t) : summary =
+  { s_kernel = k.Kernel.name; s_graph = G.build k; s_legality = L.summarize k }
 
 (* Kernels are independent; parallel_map keeps registry order. *)
-let summarize_kernels ?vfs ks = Vpar.Pool.parallel_map (summarize ?vfs) ks
+let summarize_kernels ks = Vpar.Pool.parallel_map summarize ks
 
 (* --- JSON rendering ---------------------------------------------------------- *)
 
@@ -131,12 +127,11 @@ let red_equal r1 r2 =
        r1 r2
 
 (* The validator: multiset translation validation AND reference-interpreter
-   equivalence at every size in [sizes].  The multiset check alone cannot
-   see execution-order violations (it compares which locations are
-   touched, not in what order), so the interpreter leg is what catches an illegal
-   width actually computing wrong values. *)
-let validates ?(sizes = Equiv.semantic_sizes) (k : Kernel.t)
-    (vk : Vvect.Vinstr.vkernel) : bool =
+   equivalence at every size in [Equiv.semantic_sizes].  The multiset check
+   alone cannot see execution-order violations (it compares which locations
+   are touched, not in what order), so the interpreter leg is what catches
+   an illegal width actually computing wrong values. *)
+let validates (k : Kernel.t) (vk : Vvect.Vinstr.vkernel) : bool =
   Diag.count_errors (Equiv.vkernel_diags vk) = 0
   && List.for_all
        (fun n ->
@@ -148,9 +143,9 @@ let validates ?(sizes = Equiv.semantic_sizes) (k : Kernel.t)
              | rv ->
                  mem_equal rs.I.env rv.I.env
                  && red_equal rs.I.reductions rv.I.reductions))
-       sizes
+       Equiv.semantic_sizes
 
-let check_config ?sizes (k : Kernel.t) (tr : Driver.transform) ~vf : verdict =
+let check_config (k : Kernel.t) (tr : Driver.transform) ~vf : verdict =
   let legal, forced =
     match tr with
     | Driver.Tllv ->
@@ -168,7 +163,7 @@ let check_config ?sizes (k : Kernel.t) (tr : Driver.transform) ~vf : verdict =
   match forced with
   | Error reason -> Inapplicable reason
   | Ok vk -> (
-      let ok = validates ?sizes k vk in
+      let ok = validates k vk in
       match (legal, ok) with
       | true, true -> True_positive
       | true, false -> False_positive
@@ -177,7 +172,7 @@ let check_config ?sizes (k : Kernel.t) (tr : Driver.transform) ~vf : verdict =
 
 let default_vfs = Driver.default_vfs
 
-let crosscheck_kernel ?sizes ?(vfs = default_vfs) (k : Kernel.t) : config list =
+let crosscheck_kernel ?(vfs = default_vfs) (k : Kernel.t) : config list =
   List.concat_map
     (fun tr ->
       List.map
@@ -186,13 +181,13 @@ let crosscheck_kernel ?sizes ?(vfs = default_vfs) (k : Kernel.t) : config list =
             c_kernel = k.Kernel.name;
             c_transform = tr;
             c_vf = vf;
-            c_verdict = check_config ?sizes k tr ~vf;
+            c_verdict = check_config k tr ~vf;
           })
         vfs)
     [ Driver.Tllv; Driver.Tslp ]
 
-let crosscheck ?sizes ?vfs ks =
-  List.concat (Vpar.Pool.parallel_map (crosscheck_kernel ?sizes ?vfs) ks)
+let crosscheck ?vfs ks =
+  List.concat (Vpar.Pool.parallel_map (crosscheck_kernel ?vfs) ks)
 
 type stats = {
   st_tp : int;

@@ -13,7 +13,7 @@ type summary = {
 }
 
 (** Registry-order-preserving parallel fan-out. *)
-val summarize_kernels : ?vfs:int list -> Kernel.t list -> summary list
+val summarize_kernels : Kernel.t list -> summary list
 
 (** Deterministic JSON (edges are already canonically sorted). *)
 val summary_to_json : summary -> Vjson.t
@@ -37,15 +37,14 @@ type config = {
   c_verdict : verdict;
 }
 
-(** Multiset translation validation AND interpreter equivalence at each
-    size (reductions compared with relative tolerance). *)
-val validates : ?sizes:int list -> Kernel.t -> Vvect.Vinstr.vkernel -> bool
+(** Multiset translation validation AND interpreter equivalence at each of
+    [Equiv.semantic_sizes] (reductions compared with relative tolerance). *)
+val validates : Kernel.t -> Vvect.Vinstr.vkernel -> bool
 
-val crosscheck_kernel : ?sizes:int list -> ?vfs:int list -> Kernel.t -> config list
+val crosscheck_kernel : ?vfs:int list -> Kernel.t -> config list
 
 (** Parallel registry-wide sweep over LLV and SLP at every factor. *)
-val crosscheck :
-  ?sizes:int list -> ?vfs:int list -> Kernel.t list -> config list
+val crosscheck : ?vfs:int list -> Kernel.t list -> config list
 
 type stats = {
   st_tp : int;

@@ -58,9 +58,8 @@ let validate_transformed tr ~vf (k : Kernel.t) : vec_outcome =
 (* Scalar diagnostics are canonicalized (total order + dedup) so the
    rendered report is byte-stable whatever the worker count; the vector
    matrix likewise per configuration. *)
-let lint_kernel ?(transforms = all_transforms) ?(vfs = default_vfs)
-    (k : Kernel.t) : report =
-  let scalar = Diag.canonical (Pass.run_all k) in
+let lint ~transforms ~vfs (k : Kernel.t) : report =
+  let scalar = Diag.canonical (Lints.run_all k) in
   let vector =
     List.concat_map
       (fun tr ->
@@ -77,10 +76,12 @@ let lint_kernel ?(transforms = all_transforms) ?(vfs = default_vfs)
   in
   { r_kernel = k.Kernel.name; r_scalar = scalar; r_vector = vector }
 
+let lint_kernel ?(vfs = default_vfs) k = lint ~transforms:all_transforms ~vfs k
+
 (* Kernels are independent, so the registry-wide gate fans out over the
    shared domain pool; parallel_map keeps the report order deterministic. *)
-let lint_kernels ?transforms ?vfs ks =
-  Vpar.Pool.parallel_map (lint_kernel ?transforms ?vfs) ks
+let lint_kernels ?(transforms = all_transforms) ?(vfs = default_vfs) ks =
+  Vpar.Pool.parallel_map (lint ~transforms ~vfs) ks
 
 (* All diagnostics of a report, vector outcomes included. *)
 let report_diags r =

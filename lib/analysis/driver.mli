@@ -32,8 +32,8 @@ type report = {
 (** Vectorize (or unroll) and validate one configuration. *)
 val validate_transformed : transform -> vf:int -> Kernel.t -> vec_outcome
 
-val lint_kernel :
-  ?transforms:transform list -> ?vfs:int list -> Kernel.t -> report
+(** Every transform at each of [vfs] (default 2, 4 and 8). *)
+val lint_kernel : ?vfs:int list -> Kernel.t -> report
 
 val lint_kernels :
   ?transforms:transform list -> ?vfs:int list -> Kernel.t list -> report list

@@ -278,10 +278,9 @@ let trace_check ~sizes ~license k run_t =
   in
   go sizes
 
-let check_config ?(sizes = trace_sizes) (k : Kernel.t)
-    (tr : Driver.transform) ~vf : bool * verdict =
+let check_config (k : Kernel.t) (tr : Driver.transform) ~vf : bool * verdict =
   let license = E.of_kernel k in
-  let static_then_trace ?(sizes = sizes) ~legal sub run_t =
+  let static_then_trace ?(sizes = trace_sizes) ~legal sub run_t =
     if not (E.subsumes ~summary:license sub) then
       ( legal,
         Escape
@@ -329,20 +328,19 @@ let check_config ?(sizes = trace_sizes) (k : Kernel.t)
                  else find (m + 1)
                in
                find n)
-             sizes)
+             trace_sizes)
       in
       static_then_trace ~sizes:exact_sizes ~legal:true sub (fun ~n ->
           observe_kernel ~seed:trace_seed ~n u)
 
 let default_vfs = Driver.default_vfs
 
-let crosscheck_kernel ?sizes ?(vfs = default_vfs) (k : Kernel.t) : config list
-    =
+let crosscheck_kernel ?(vfs = default_vfs) (k : Kernel.t) : config list =
   List.concat_map
     (fun tr ->
       List.map
         (fun vf ->
-          let legal, verdict = check_config ?sizes k tr ~vf in
+          let legal, verdict = check_config k tr ~vf in
           {
             c_kernel = k.Kernel.name;
             c_transform = tr;
@@ -353,8 +351,8 @@ let crosscheck_kernel ?sizes ?(vfs = default_vfs) (k : Kernel.t) : config list
         vfs)
     Driver.all_transforms
 
-let crosscheck ?sizes ?vfs ks =
-  List.concat (Vpar.Pool.parallel_map (crosscheck_kernel ?sizes ?vfs) ks)
+let crosscheck ?vfs ks =
+  List.concat (Vpar.Pool.parallel_map (crosscheck_kernel ?vfs) ks)
 
 type stats = { st_stable : int; st_escape : int; st_inapplicable : int }
 

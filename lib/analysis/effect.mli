@@ -55,7 +55,7 @@ type config = {
   c_verdict : verdict;
 }
 
-val crosscheck : ?sizes:int list -> ?vfs:int list -> Kernel.t list -> config list
+val crosscheck : ?vfs:int list -> Kernel.t list -> config list
 
 type stats = { st_stable : int; st_escape : int; st_inapplicable : int }
 

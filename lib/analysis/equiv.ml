@@ -283,15 +283,13 @@ let float_eq x y = x = y || (Float.is_nan x && Float.is_nan y)
 
 let semantic_sizes = [ 17; 101 ]
 
-let semantic_diags ?backend ?(sizes = semantic_sizes) ~pass ~orig (k : Kernel.t) =
+let semantic_diags ~pass ~orig (k : Kernel.t) =
   let err fmt = Diag.error ~pass ~kernel:k.Kernel.name fmt in
   (* Runs go through the selected execution backend (closure-compiled by
      default) — this check sits on the Dataset.build hot path via the
      optimizer's per-pass validation.  All backends share reference
      semantics, enforced by the exec equivalence suite. *)
-  let backend =
-    match backend with Some b -> b | None -> Vexec.Backend.default ()
-  in
+  let backend = Vexec.Backend.default () in
   let run n kernel =
     match Vexec.Backend.run ~n backend kernel with
     | r -> Ok (Vinterp.Env.snapshot r.Vinterp.Interp.env, r.Vinterp.Interp.reductions)
@@ -345,4 +343,4 @@ let semantic_diags ?backend ?(sizes = semantic_sizes) ~pass ~orig (k : Kernel.t)
         in
         arr_diffs @ red_diffs
   in
-  List.concat_map check_size sizes
+  List.concat_map check_size semantic_sizes

@@ -26,15 +26,13 @@ val unrolled_diags : orig:Kernel.t -> uf:int -> Kernel.t -> Diag.t list
     up to [=]'s 0/-0 identification). *)
 val float_eq : float -> float -> bool
 
-(** Problem sizes [semantic_diags] interprets at by default. *)
+(** Problem sizes [semantic_diags] interprets at. *)
 val semantic_sizes : int list
 
 (** Run both kernels in the deterministic default environment and compare
     every array element and reduction value; an [Error] diagnostic per
     first mismatch.  A kernel that traps in the original form is skipped
     (no reference behaviour); a transform that *introduces* a trap is an
-    error.  Runs execute on [backend] (default [Vexec.Backend.default ()]);
-    all backends share reference semantics. *)
-val semantic_diags :
-  ?backend:Vexec.Backend.t -> ?sizes:int list -> pass:string ->
-  orig:Kernel.t -> Kernel.t -> Diag.t list
+    error.  Runs execute on [Vexec.Backend.default ()]; all backends share
+    reference semantics. *)
+val semantic_diags : pass:string -> orig:Kernel.t -> Kernel.t -> Diag.t list

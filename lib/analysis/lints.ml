@@ -1,6 +1,7 @@
 (* Lint passes over the scalar IR.
 
-   Each pass takes the shared dataflow facts and returns diagnostics.  The
+   Each pass takes the shared dataflow facts and returns diagnostics;
+   [run_all] analyzes a kernel once and folds every pass over the facts.  The
    lints target exactly the defects that skew the paper's cost-model
    features: a dead or redundant instruction changes the instruction-class
    counts the models are fitted over, an out-of-bounds subscript makes the
@@ -473,7 +474,7 @@ let frozen_buffer_write (df : Dataflow.t) =
    so downstream consumers fall back to whole-array ownership.  The write
    regions are joined here straight from the abstract-interpretation
    accesses ([Effect.regions] does the same join, but through [Driver],
-   which would close a module cycle with the pass registry). *)
+   which would close a module cycle with [run_all]). *)
 let effect_escape (df : Dataflow.t) =
   let k = df.Dataflow.kernel in
   let license = Vexec.Effects.of_kernel k in
@@ -513,3 +514,16 @@ let effect_escape (df : Dataflow.t) =
                      subscript range escapes the effect license)"
                     e.e_array Absint.default_n)
            | _ -> None)
+
+(* --- the registry ----------------------------------------------------------- *)
+
+(* Reporting order. *)
+let builtin =
+  [ dead_result; redundant_load; lossy_cast; out_of_bounds; invariant_store;
+    unused_array; unused_param; misaligned_access; unbounded_recurrence;
+    dead_store; loop_invariant_compute; loop_carried_at_vf;
+    assumed_conflict_free; frozen_buffer_write; effect_escape ]
+
+let run_all (k : Kernel.t) =
+  let df = Dataflow.analyze k in
+  List.concat_map (fun run -> run df) builtin

@@ -3,12 +3,12 @@
    The cost models count instructions, and the paper's fit assumes the
    counts of a *compiled* body — i.e. after the scalar cleanup every real
    compiler runs before vectorizing.  This pipeline normalizes a kernel the
-   same way, built on the reusable analyses ([Ssa] dominators, [Avail]
+   same way, built on the reusable analyses ([Ssa] form, [Avail]
    value numbering, [Dataflow] liveness/invariance, [Absint] value ranges):
 
      constant-fold   reaching constants folded into immediates, integer
                      algebraic identities (x+0, x*1, x&0, shifts by 0, ...)
-     gvn             dominator-based global value numbering / CSE,
+     gvn             value numbering / CSE in body order,
                      commutative operands canonicalized, loads killed by
                      intervening same-array stores
      licm            loop-invariant code motion: invariant instructions
@@ -33,11 +33,7 @@
 
 open Vir
 
-type pass = {
-  p_name : string;
-  p_descr : string;
-  p_run : Kernel.t -> Kernel.t;
-}
+type pass = { p_name : string; p_run : Kernel.t -> Kernel.t }
 
 (* --- rebuild: the SSA-preserving body surgery all passes share ------------- *)
 
@@ -191,7 +187,7 @@ let fold_run (k : Kernel.t) =
   in
   dce_run k'
 
-(* --- dominator-based GVN / CSE --------------------------------------------- *)
+(* --- GVN / CSE -------------------------------------------------------------- *)
 
 let gvn_run (k : Kernel.t) =
   let av = Avail.analyze k in
@@ -325,35 +321,17 @@ let dse_run (k : Kernel.t) =
 
 (* --- the pipeline ----------------------------------------------------------- *)
 
-let fold_pass =
-  { p_name = "constant-fold";
-    p_descr = "reaching constants to immediates + integer identities";
-    p_run = fold_run }
+let fold_pass = { p_name = "constant-fold"; p_run = fold_run }
 
-let gvn_pass =
-  { p_name = "gvn";
-    p_descr = "dominator-based value numbering (CSE incl. loads)";
-    p_run = gvn_run }
+let gvn_pass = { p_name = "gvn"; p_run = gvn_run }
 
-let licm_pass =
-  { p_name = "licm";
-    p_descr = "hoist loop-invariant instructions to the preheader prefix";
-    p_run = licm_run }
+let licm_pass = { p_name = "licm"; p_run = licm_run }
 
-let strength_pass =
-  { p_name = "strength-reduce";
-    p_descr = "power-of-two multiplies to shifts, guarded div/rem to shift/mask";
-    p_run = strength_run }
+let strength_pass = { p_name = "strength-reduce"; p_run = strength_run }
 
-let dse_pass =
-  { p_name = "dse";
-    p_descr = "remove stores overwritten before any load";
-    p_run = dse_run }
+let dse_pass = { p_name = "dse"; p_run = dse_run }
 
-let dce_pass =
-  { p_name = "dce";
-    p_descr = "remove values that reach no store or reduction";
-    p_run = dce_run }
+let dce_pass = { p_name = "dce"; p_run = dce_run }
 
 let pipeline =
   [ fold_pass; gvn_pass; licm_pass; strength_pass; dse_pass; dce_pass ]
@@ -450,14 +428,14 @@ let normalize (k : Kernel.t) = (run k).rp_normalized
    (so a bug in pass 3 is attributed to pass 3, not smeared over the
    pipeline), plus the monotonicity guarantee that no pass grows the
    body. *)
-let validate ?sizes (k : Kernel.t) =
+let validate (k : Kernel.t) =
   let diags = ref [] in
   let _final =
     List.fold_left
       (fun cur p ->
         let next = p.p_run cur in
         let pass = "opt-" ^ p.p_name in
-        diags := Equiv.semantic_diags ?sizes ~pass ~orig:cur next @ !diags;
+        diags := Equiv.semantic_diags ~pass ~orig:cur next @ !diags;
         let b = List.length cur.Kernel.body
         and a = List.length next.Kernel.body in
         if a > b then
@@ -518,4 +496,4 @@ let report_to_json r =
    domain pool (order-preserving, so renderings stay byte-stable whatever
    the worker count). *)
 let run_all ks = Vpar.Pool.parallel_map run ks
-let validate_all ?sizes ks = Vpar.Pool.parallel_map (validate ?sizes) ks
+let validate_all ks = Vpar.Pool.parallel_map validate ks

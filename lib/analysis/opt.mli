@@ -1,6 +1,6 @@
 (** SSA-based scalar optimizer: the normalization pipeline the cost model's
     instruction counts are taken after.  Passes are built on [Ssa]
-    (dominators), [Avail] (value numbering), [Dataflow]
+    (form checks), [Avail] (value numbering), [Dataflow]
     (liveness/invariance) and [Absint] (value ranges); each is
     value-preserving bit for bit and never grows the body, which
     [validate] checks per pass against the reference interpreter.
@@ -8,15 +8,11 @@
 
 open Vir
 
-type pass = {
-  p_name : string;
-  p_descr : string;
-  p_run : Kernel.t -> Kernel.t;
-}
+type pass = { p_name : string; p_run : Kernel.t -> Kernel.t }
 
 val fold_pass : pass  (** reaching constants + integer algebraic identities *)
 
-val gvn_pass : pass  (** dominator-based value numbering / CSE *)
+val gvn_pass : pass  (** value numbering / CSE in body order *)
 
 val licm_pass : pass
 (** hoist invariant instructions to the preheader prefix (code motion) *)
@@ -71,4 +67,4 @@ val report_to_json : report -> Vjson.t
 (** Registry-wide sweeps over the shared domain pool (order-preserving). *)
 val run_all : Kernel.t list -> report list
 
-val validate_all : ?sizes:int list -> Kernel.t list -> Diag.t list list
+val validate_all : Kernel.t list -> Diag.t list list

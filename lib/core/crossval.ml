@@ -17,9 +17,10 @@ let naive_one ~method_ ~features ~target samples (arr : Dataset.sample array) i 
   Linmodel.predict m arr.(i)
 
 let loocv_naive ~method_ ~features ~target samples arr =
-  Vpar.Pool.parallel_mapi_array
-    (fun i _ -> naive_one ~method_ ~features ~target samples arr i)
-    arr
+  Array.of_list
+    (Vpar.Pool.parallel_map
+       (naive_one ~method_ ~features ~target samples arr)
+       (List.init (Array.length arr) Fun.id))
 
 (* Mirrors Linmodel's L2 path: plain least squares, ridge on rank
    deficiency.  A leverage within 1e-10 of 1 means the left-out fit is
@@ -52,24 +53,3 @@ let loocv ~method_ ~features ~target (samples : Dataset.sample list) =
       with Vlinalg.Qr.Singular _ ->
         loocv_naive ~method_ ~features ~target samples arr)
   | _ -> loocv_naive ~method_ ~features ~target samples arr
-
-(* k-fold variant (an extension beyond the paper, used by the ablations):
-   deterministic contiguous folds over the registry order, one fit per
-   fold (not per sample), fitted in parallel. *)
-let kfold ~k ~method_ ~features ~target (samples : Dataset.sample list) =
-  let n = List.length samples in
-  if k < 2 then invalid_arg "Crossval.kfold: k must be >= 2";
-  if k > n then
-    invalid_arg
-      (Printf.sprintf "Crossval.kfold: k = %d exceeds the %d samples" k n);
-  let arr = Array.of_list samples in
-  let fold_of i = i * k / n in
-  let models =
-    Array.of_list
-      (Vpar.Pool.parallel_map
-         (fun fi ->
-           let training = List.filteri (fun j _ -> fold_of j <> fi) samples in
-           Linmodel.fit ~method_ ~features ~target training)
-         (List.init k Fun.id))
-  in
-  Array.mapi (fun i s -> Linmodel.predict models.(fold_of i) s) arr

@@ -8,10 +8,3 @@
 val loocv :
   method_:Linmodel.fit_method -> features:Linmodel.feature_kind ->
   target:Linmodel.target -> Dataset.sample list -> float array
-
-(** Deterministic contiguous k-fold variant: one fit per fold, fitted in
-    parallel.  @raise Invalid_argument when [k < 2] or [k] exceeds the
-    number of samples. *)
-val kfold :
-  k:int -> method_:Linmodel.fit_method -> features:Linmodel.feature_kind ->
-  target:Linmodel.target -> Dataset.sample list -> float array

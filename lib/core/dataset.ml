@@ -347,7 +347,7 @@ let build_one_cached ~noise_amp ~seed ~repeats ~backend
 let default_timeout = 0.5
 
 let build ?(noise_amp = Vmachine.Measure.default_noise) ?(seed = 1)
-    ?(repeats = 1) ?backend ?pool ?(timeout_s = default_timeout)
+    ?(repeats = 1) ?backend ?pool
     ~(machine : Vmachine.Descr.t) ~transform ~n
     (entries : Tsvc.Registry.entry list) =
   let backend =
@@ -361,7 +361,7 @@ let build ?(noise_amp = Vmachine.Measure.default_noise) ?(seed = 1)
     ^ "@" ^ machine.name ^ "/" ^ transform_to_string transform
   in
   let results =
-    Vpar.Pool.supervised_map ?pool ~timeout_s ~task_key
+    Vpar.Pool.supervised_map ?pool ~timeout_s:default_timeout ~task_key
       (build_one_cached ~noise_amp ~seed ~repeats ~backend ~machine ~transform
          ~n)
       entries

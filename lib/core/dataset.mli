@@ -52,8 +52,7 @@ val apply_transform :
     keeps the median of the survivors; [repeats = 1] is the historical
     single-shot behaviour.  Samples with no usable measurement are
     quarantined into the {!health} ledger, never silently dropped.
-    [?timeout_s] (default 0.5) cancels a build task whose simulated hang
-    exceeds it.
+    A build task whose simulated hang exceeds 0.5 s is cancelled.
 
     [?backend] (default {!Vexec.Backend.default}) selects the execution
     engine that actually runs each kernel, always under the kernel's
@@ -62,7 +61,7 @@ val apply_transform :
     samples another backend built. *)
 val build :
   ?noise_amp:float -> ?seed:int -> ?repeats:int ->
-  ?backend:Vexec.Backend.t -> ?pool:Vpar.Pool.t -> ?timeout_s:float ->
+  ?backend:Vexec.Backend.t -> ?pool:Vpar.Pool.t ->
   machine:Vmachine.Descr.t -> transform:transform -> n:int ->
   Tsvc.Registry.entry list -> sample list
 

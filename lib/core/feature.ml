@@ -181,7 +181,6 @@ let mem_classes =
     F_store_strided; F_store_scatter ]
 
 let extended_names = names @ [ "x_intensity"; "x_log_size"; "x_recurrence" ]
-let extended_dim = dim + 3
 
 (* Rated features plus three derived ones: arithmetic intensity (compute ops
    per memory op), body size, and the strength of the tightest memory-carried

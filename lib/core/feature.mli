@@ -52,7 +52,6 @@ val rated : Vir.Kernel.t -> float array
     size and memory-recurrence strength (1/distance). *)
 val extended_names : string list
 
-val extended_dim : int
 val extended : Vir.Kernel.t -> float array
 
 (** Absint feature set: extended features plus the provably-aligned fraction

@@ -192,8 +192,6 @@ type mismatch = {
   mm_got_dim : int;
 }
 
-exception Incompatible of mismatch
-
 let mismatch_to_string m =
   Printf.sprintf
     "model features %s (%d column%s) incompatible with configured %s (%d \
@@ -213,9 +211,6 @@ let compat ~features (m : t) =
     Error
       { mm_expected = features; mm_expected_dim = expected_dim;
         mm_got = m.features; mm_got_dim = got_dim }
-
-let check_compat ~features m =
-  match compat ~features m with Ok () -> () | Error mm -> raise (Incompatible mm)
 
 (* Predict from a feature vector the caller extracted (the serving hot
    path: no Dataset.sample exists).  Speedup-target models only — a
@@ -338,7 +333,6 @@ let of_string s =
 let save m path = Checkpoint.write_atomic path (to_string m)
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> of_string s
+  | exception Sys_error e -> Error e

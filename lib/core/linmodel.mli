@@ -52,16 +52,11 @@ type mismatch = {
   mm_got_dim : int;
 }
 
-exception Incompatible of mismatch
-
 val mismatch_to_string : mismatch -> string
 
 (** Check a model against the configured feature set: kind must match and
     the weight vector must have exactly [dim_of features] columns. *)
 val compat : features:feature_kind -> t -> (unit, mismatch) result
-
-(** [compat] or raise {!Incompatible}. *)
-val check_compat : features:feature_kind -> t -> unit
 
 (** Predict from an already-extracted feature vector (the serving hot
     path).  Raises [Invalid_argument] on a cost-target model or an arity
@@ -76,4 +71,6 @@ val of_string : string -> (t, string) result
 (** Atomic (temp file + rename): a crash mid-save never leaves a
     truncated model file. *)
 val save : t -> string -> unit
+
+(** [Error] when the file cannot be read or parsed. *)
 val load : string -> (t, string) result

@@ -14,14 +14,14 @@ type eval = {
   always_cycles : float;  (* always vectorize *)
 }
 
-let evaluate ?(threshold = 1.0) ~(predicted : float array)
-    (samples : Dataset.sample list) =
+(* A predicted speedup above 1 means "vectorize". *)
+let evaluate ~(predicted : float array) (samples : Dataset.sample list) =
   let measured = Dataset.measured_array samples in
   let arr = Array.of_list samples in
   if Array.length predicted <> Array.length arr then
     invalid_arg "Metrics.evaluate: prediction count mismatch";
   let confusion =
-    Vstats.Confusion.of_speedups ~threshold ~predicted ~measured ()
+    Vstats.Confusion.of_speedups ~predicted ~measured ()
   in
   let exec_cycles = ref 0.0
   and oracle = ref 0.0
@@ -30,7 +30,7 @@ let evaluate ?(threshold = 1.0) ~(predicted : float array)
   Array.iteri
     (fun i (s : Dataset.sample) ->
       let chosen =
-        if predicted.(i) > threshold then s.vector_total else s.scalar_total
+        if predicted.(i) > 1.0 then s.vector_total else s.scalar_total
       in
       exec_cycles := !exec_cycles +. chosen;
       oracle := !oracle +. Float.min s.vector_total s.scalar_total;

@@ -7,11 +7,10 @@ type eval = {
   spearman : float;
   rmse : float;
   confusion : Vstats.Confusion.t;
-  exec_cycles : float;  (** total when vectorizing iff predicted > threshold *)
+  exec_cycles : float;  (** total when vectorizing iff predicted > 1 *)
   oracle_cycles : float;  (** vectorize iff actually beneficial *)
   scalar_cycles : float;  (** never vectorize *)
   always_cycles : float;  (** always vectorize *)
 }
 
-val evaluate :
-  ?threshold:float -> predicted:float array -> Dataset.sample list -> eval
+val evaluate : predicted:float array -> Dataset.sample list -> eval

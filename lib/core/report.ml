@@ -1,7 +1,7 @@
 (* Text rendering of experiment results: fixed-width tables and an ASCII
    scatter plot of estimated vs measured speedup (the paper's figures are
-   exactly such scatters).  All printers accept an optional formatter so the
-   tests can capture output. *)
+   exactly such scatters).  Printers write to stdout; [to_string] and
+   [scatter ?ppf] let the tests capture output. *)
 
 type row = { label : string; eval : Metrics.eval }
 
@@ -17,12 +17,12 @@ type result = {
 
 let std = Format.std_formatter
 
-let print_header ?(ppf = std) (r : result) =
+let print_header ppf (r : result) =
   Format.fprintf ppf "\n== %s: %s ==\n" r.id r.title;
   Format.fprintf ppf "   machine %s, transform %s, %d vectorizable kernels\n"
     r.machine r.transform r.n_samples
 
-let print_rows ?(ppf = std) (r : result) =
+let print_rows ppf (r : result) =
   Format.fprintf ppf "   %-28s %7s %13s %7s %7s %4s %4s %5s %12s\n" "model"
     "r" "r 95% CI" "rho" "RMSE" "FP" "FN" "acc" "exec(Mcyc)";
   List.iter
@@ -47,17 +47,15 @@ let print_rows ?(ppf = std) (r : result) =
   | [] -> ());
   List.iter (fun n -> Format.fprintf ppf "   note: %s\n" n) r.notes
 
-let print ?(ppf = std) (r : result) =
-  print_header ~ppf r;
-  print_rows ~ppf r;
+let pp ppf (r : result) =
+  print_header ppf r;
+  print_rows ppf r;
   Format.pp_print_flush ppf ()
 
+let print r = pp std r
+
 (* Render a result into a string (used by the tests). *)
-let to_string (r : result) =
-  let b = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer b in
-  print ~ppf r;
-  Buffer.contents b
+let to_string r = Format.asprintf "%a" pp r
 
 (* --- ASCII scatter ------------------------------------------------------ *)
 
@@ -143,7 +141,8 @@ let write_file path contents = Checkpoint.write_atomic path contents
 
 (* --- ASCII histogram ------------------------------------------------------- *)
 
-let histogram ?(ppf = std) ?(bins = 12) ?(width = 40) ~label (xs : float array) =
+let histogram ~label (xs : float array) =
+  let ppf = std and bins = 12 and width = 40 in
   if Array.length xs = 0 then Format.fprintf ppf "   (no data)\n"
   else begin
     let lo = Array.fold_left Float.min xs.(0) xs in

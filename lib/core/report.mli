@@ -1,5 +1,5 @@
 (** Text rendering of experiment results: tables and ASCII scatter plots.
-    All printers default to stdout; pass [?ppf] to capture. *)
+    Printers write to stdout; [scatter] takes [?ppf] to capture. *)
 
 type row = { label : string; eval : Metrics.eval }
 
@@ -13,7 +13,7 @@ type result = {
   notes : string list;
 }
 
-val print : ?ppf:Format.formatter -> result -> unit
+val print : result -> unit
 
 (** Render a result into a string. *)
 val to_string : result -> string
@@ -34,10 +34,8 @@ val scatter_csv :
     truncated file. *)
 val write_file : string -> string -> unit
 
-(** ASCII histogram of a sample. *)
-val histogram :
-  ?ppf:Format.formatter -> ?bins:int -> ?width:int -> label:string ->
-  float array -> unit
+(** ASCII histogram of a sample: 12 bins, bars up to 40 columns. *)
+val histogram : label:string -> float array -> unit
 
 (** One-line summary of the sample memo cache (hits, misses, hit rate,
     live entries) since the last [Dataset.cache_clear]. *)

@@ -18,8 +18,8 @@ type candidate = {
 }
 
 (* All applicable candidates for one kernel, with measured cycle totals. *)
-let candidates ?(noise_amp = Vmachine.Measure.default_noise) ?(seed = 1)
-    (machine : Vmachine.Descr.t) ~n (k : Kernel.t) =
+let candidates ~noise_amp ~seed (machine : Vmachine.Descr.t) ~n
+    (k : Kernel.t) =
   let scalar =
     { cd_label = "scalar"; cd_vk = None;
       cd_cycles = Vmachine.Measure.total_scalar_cycles machine ~n k }

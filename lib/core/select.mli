@@ -12,7 +12,7 @@ type candidate = {
     including LLV-after-interchange when that is the only vectorizable
     order. *)
 val candidates :
-  ?noise_amp:float -> ?seed:int -> Vmachine.Descr.t -> n:int -> Vir.Kernel.t ->
+  noise_amp:float -> seed:int -> Vmachine.Descr.t -> n:int -> Vir.Kernel.t ->
   candidate list
 
 (** Candidate speedup under a cost-targeted model.

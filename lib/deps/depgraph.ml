@@ -192,12 +192,6 @@ let build (k : Kernel.t) =
 
 (* --- queries ------------------------------------------------------------ *)
 
-let unknown_carried g =
-  List.filter (fun e -> e.e_carried = Carried_unknown) g.g_edges
-
-let loop_independent g =
-  List.filter (fun e -> e.e_carried = Independent) g.g_edges
-
 (* Count of dependences carried at each depth; unknown-depth edges are
    charged to the innermost loop (the conservative place: they block
    vectorization there). *)
@@ -233,22 +227,6 @@ let min_carried_distance g =
       | d, None -> d
       | Some a, Some b -> Some (min a b))
     None g.g_edges
-
-(* Exact distance vectors (one per edge), when every depth of every
-   carried or independent edge has one.  Loop-independent all-zero vectors
-   are dropped.  [None] when any edge lacks an exact vector. *)
-let distance_vectors g =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | e :: rest ->
-        let dists = Array.to_list e.e_dist in
-        if List.exists (fun d -> d = None) dists then None
-        else
-          let v = List.map Option.get dists in
-          if List.for_all (fun d -> d = 0) v then go acc rest
-          else go ((e.e_array, v) :: acc) rest
-  in
-  go [] g.g_edges
 
 let pp_edge fmt e =
   Format.fprintf fmt "%s dep on %s: %d -> %d, dirs (%s), %s%s"

@@ -35,9 +35,6 @@ type t = {
 val carried_to_string : carried -> string
 val build : Kernel.t -> t
 
-val unknown_carried : t -> edge list
-val loop_independent : t -> edge list
-
 (** Count of carried dependences per depth (unknown-depth edges charged to
     the innermost loop). *)
 val carried_counts : t -> int array
@@ -45,9 +42,5 @@ val carried_counts : t -> int array
 (** Minimum carried distance over all carried edges (unknown distances
     count as 1); [None] when nothing is carried. *)
 val min_carried_distance : t -> int option
-
-(** Exact per-edge distance vectors, excluding all-zero (loop-independent)
-    ones; [None] when any edge lacks exact distances at every depth. *)
-val distance_vectors : t -> (string * int list) list option
 
 val pp_edge : Format.formatter -> edge -> unit

@@ -81,13 +81,13 @@ type t = {
 
 let default_vfs = [ 2; 4; 8; 16 ]
 
-let summarize ?(vfs = default_vfs) (k : Kernel.t) =
+let summarize (k : Kernel.t) =
   {
     l_kernel = k.name;
     l_vf_limit = Dependence.vf_limit k;
-    l_llv = List.map (fun vf -> (vf, llv_ok k ~vf)) vfs;
-    l_slp = List.map (fun vf -> (vf, slp_ok k ~vf)) vfs;
-    l_unroll = List.map (fun uf -> (uf, unroll_ok k ~uf)) vfs;
+    l_llv = List.map (fun vf -> (vf, llv_ok k ~vf)) default_vfs;
+    l_slp = List.map (fun vf -> (vf, slp_ok k ~vf)) default_vfs;
+    l_unroll = List.map (fun uf -> (uf, unroll_ok k ~uf)) default_vfs;
     l_interchange = interchange_verdict k;
     l_idioms = Idiom.recognize k;
     l_assumed = Dependence.needs_runtime_assumption k;

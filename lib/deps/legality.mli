@@ -35,7 +35,7 @@ type t = {
   l_assumed : bool;
 }
 
-val summarize : ?vfs:int list -> Kernel.t -> t
+val summarize : Kernel.t -> t
 
 (** The VFs a column marks legal. *)
 val legal_vfs : (int * bool) list -> int list

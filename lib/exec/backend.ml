@@ -80,8 +80,8 @@ let run_in prepared env =
         (fun () -> Vinterp.Interp.run_in env k)
   | P_closure (st, c, license) -> Closure.run_in ?license st c env
 
-let run ?seed ~n backend k =
-  let env = Env.create ?seed ~n k in
+let run ~n backend k =
+  let env = Env.create ~n k in
   let prepared = prepare backend k in
   let reductions = run_in prepared env in
   { Vinterp.Interp.env; reductions }

@@ -38,7 +38,7 @@ val run_in : prepared -> Vinterp.Env.t -> (string * float) list
 (** Execute over [env] in place; returns final reduction values.  Traps
     exactly like [Vinterp.Interp.run_in]. *)
 
-val run : ?seed:int -> n:int -> t -> Vir.Kernel.t -> Vinterp.Interp.result
+val run : n:int -> t -> Vir.Kernel.t -> Vinterp.Interp.result
 (** Fresh environment, prepare, run — drop-in for [Vinterp.Interp.run]. *)
 
 val digest : Vinterp.Env.t -> (string * float) list -> string

@@ -42,11 +42,6 @@ let may_write t name =
    readonly exactly when the summary proves no write can reach it. *)
 let readonly t name = not (may_write t name)
 
-let written t =
-  List.filter_map
-    (fun e -> if e.e_write then Some e.e_array else None)
-    t.ef_entries
-
 (* Ownership discipline projected from the effect summary: unwritten
    arrays may alias the frozen master, written arrays need owned copies. *)
 let ownership t name : Vinterp.Env.ownership =
@@ -120,15 +115,6 @@ let of_kernel (k : Vir.Kernel.t) =
     |> List.sort (fun a b -> String.compare a.e_array b.e_array)
   in
   { ef_kernel = k.name; ef_entries = entries }
-
-(* Whether the license describes [k]: names it and covers exactly its
-   array set.  [Measure.execute] refuses a statically-computed license
-   that fails this — a mismatched effect summary must never silently
-   widen aliasing. *)
-let covers t (k : Vir.Kernel.t) =
-  String.equal t.ef_kernel k.name
-  && List.length t.ef_entries = List.length k.arrays
-  && List.for_all (fun (d : Vir.Kernel.array_decl) -> find t d.arr_name <> None) k.arrays
 
 (* Effect containment: [subsumes ~summary sub] holds when every effect
    [sub] claims is already licensed by [summary] — same kernel, and no

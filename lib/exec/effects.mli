@@ -30,18 +30,12 @@ val may_write : t -> string -> bool
     proves the array is never written. *)
 val readonly : t -> string -> bool
 
-(** Arrays with a may-write effect, in entry order. *)
-val written : t -> string list
-
 (** Ownership projected from the summary: [Frozen] iff unwritten. *)
 val ownership : t -> string -> Vinterp.Env.ownership
 
 (** Sound syntactic effect summary of a kernel body (one recursive walk
     over the body). *)
 val of_kernel : Vir.Kernel.t -> t
-
-(** Whether the license names [k] and covers exactly its array set. *)
-val covers : t -> Vir.Kernel.t -> bool
 
 (** [subsumes ~summary sub]: every effect of [sub] is licensed by
     [summary] — the stability obligation for transformed kernels. *)

@@ -56,8 +56,6 @@ let counts () =
   Mutex.unlock counts_mutex;
   List.sort compare l
 
-let total_injected () = List.fold_left (fun a (_, v) -> a + v) 0 (counts ())
-
 let reset_counts () =
   Mutex.lock counts_mutex;
   Hashtbl.reset counts_tbl;

@@ -60,5 +60,4 @@ val serve_reject : key:string -> bool
 (** Injections so far as [("site.kind", count)], sorted. *)
 val counts : unit -> (string * int) list
 
-val total_injected : unit -> int
 val reset_counts : unit -> unit

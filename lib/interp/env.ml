@@ -26,8 +26,6 @@ type t = {
    sees the same words); [Owned] arrays are private copies. *)
 type ownership = Frozen | Owned
 
-let ownership t name = if Hashtbl.mem t.frozen name then Frozen else Owned
-
 (* Write barrier over frozen buffers.  Off by default (the readonly
    aliasing contract is enforced statically by the effect summary); the
    sanitizer flips it on so that any write reaching a frozen array through

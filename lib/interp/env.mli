@@ -18,8 +18,6 @@ exception Out_of_bounds of string * int
     are private copies of it. *)
 type ownership = Frozen | Owned
 
-val ownership : t -> string -> ownership
-
 (** Global write barrier over frozen buffers.  When enabled, any
     interpreter-path write to a [Frozen] array raises [Frozen_write]
     before mutating shared state.  Enabled by the sanitizer

@@ -146,8 +146,9 @@ let eval_operand env idx regs = function
 (* Execute the body once for the given loop-variable bindings, updating
    memory and the reduction accumulators in place.  [observe] sees every
    register result as it is defined (position, value) — the soundness
-   property tests hang abstract-interpretation containment checks off it. *)
-let exec_iteration ?observe env (k : Kernel.t) ~idx ~accs =
+   property tests hang abstract-interpretation containment checks off it
+   through [run_in]. *)
+let exec_body observe env (k : Kernel.t) ~idx ~accs =
   let regs = Array.make (List.length k.body) (V_int 0) in
   List.iteri
     (fun pos instr ->
@@ -198,6 +199,8 @@ let exec_iteration ?observe env (k : Kernel.t) ~idx ~accs =
           (to_float (eval_operand env idx regs r.red_src)))
     k.reductions
 
+let exec_iteration env k ~idx ~accs = exec_body None env k ~idx ~accs
+
 type result = { env : Env.t; reductions : (string * float) list }
 
 (* Iterate a loop nest, calling [f] with complete bindings at each innermost
@@ -215,10 +218,10 @@ let rec drive env loops bound_idx f =
 
 let run_in ?observe env (k : Kernel.t) =
   let accs = Array.of_list (List.map (fun r -> r.Kernel.red_init) k.reductions) in
-  drive env k.loops [] (fun idx -> exec_iteration ?observe env k ~idx ~accs);
+  drive env k.loops [] (fun idx -> exec_body observe env k ~idx ~accs);
   List.mapi (fun j (r : Kernel.reduction) -> (r.red_name, accs.(j))) k.reductions
 
-let run ?seed ?observe ~n (k : Kernel.t) =
+let run ?seed ~n (k : Kernel.t) =
   let env = Env.create ?seed ~n k in
-  let reductions = run_in ?observe env k in
+  let reductions = run_in env k in
   { env; reductions }

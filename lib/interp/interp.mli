@@ -21,22 +21,17 @@ val red_neutral : Vir.Op.redop -> float
 val flat_index : Env.t -> (string * int) list -> Vir.Instr.dim list -> int
 
 (** Execute the body once for the given bindings; [accs] holds the reduction
-    accumulators (parallel to [k.reductions]) and is updated in place.
-    [observe] is called with (position, value) for every register defined —
-    the hook the abstract-interpretation soundness tests attach to. *)
+    accumulators (parallel to [k.reductions]) and is updated in place. *)
 val exec_iteration :
-  ?observe:(int -> value -> unit) ->
-  Env.t ->
-  Vir.Kernel.t ->
-  idx:(string * int) list ->
-  accs:float array ->
-  unit
+  Env.t -> Vir.Kernel.t -> idx:(string * int) list -> accs:float array -> unit
 
 type result = { env : Env.t; reductions : (string * float) list }
 
-(** Run the whole nest in an existing environment; returns reduction values. *)
+(** Run the whole nest in an existing environment; returns reduction values.
+    [observe] is called with (position, value) for every register defined —
+    the hook the abstract-interpretation soundness tests attach to. *)
 val run_in :
   ?observe:(int -> value -> unit) -> Env.t -> Vir.Kernel.t -> (string * float) list
 
 (** Allocate a fresh environment and run. *)
-val run : ?seed:int -> ?observe:(int -> value -> unit) -> n:int -> Vir.Kernel.t -> result
+val run : ?seed:int -> n:int -> Vir.Kernel.t -> result

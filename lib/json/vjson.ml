@@ -259,6 +259,5 @@ let int = function
   | Num v when Float.is_integer v && Float.abs v <= 1e9 -> Some (int_of_float v)
   | _ -> None
 
-let list = function List l -> Some l | _ -> None
 let mem_str k v = Option.bind (member k v) str
 let mem_int k v = Option.bind (member k v) int

@@ -29,7 +29,6 @@ val member : string -> t -> t option
 
 val str : t -> string option
 val int : t -> int option
-val list : t -> t list option
 
 (** [mem_str "op" v] = member then {!str}. *)
 val mem_str : string -> t -> string option

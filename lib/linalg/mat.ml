@@ -47,8 +47,6 @@ let copy m = { m with data = Array.copy m.data }
 
 let row m i = Array.sub m.data (i * m.cols) m.cols
 
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
-
 (* Select a subset of columns (used by the NNLS active-set iterations). *)
 let select_cols m idxs =
   let idxs = Array.of_list idxs in
@@ -75,19 +73,4 @@ let tmat_vec m y =
       done
   done;
   out
-
-let matmul a b =
-  if a.cols <> b.rows then invalid_arg "Mat.matmul: size mismatch";
-  let m = create a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if aik <> 0.0 then
-        for j = 0 to b.cols - 1 do
-          m.data.((i * b.cols) + j) <-
-            m.data.((i * b.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
-        done
-    done
-  done;
-  m
 

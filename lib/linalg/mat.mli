@@ -11,7 +11,6 @@ val init : int -> int -> (int -> int -> float) -> t
 val of_rows : float array list -> t
 val copy : t -> t
 val row : t -> int -> float array
-val transpose : t -> t
 
 (** Matrix restricted to the given columns, in the given order. *)
 val select_cols : t -> int list -> t
@@ -20,5 +19,3 @@ val mat_vec : t -> float array -> float array
 
 (** [tmat_vec a y] computes [a^T y]. *)
 val tmat_vec : t -> float array -> float array
-
-val matmul : t -> t -> t

@@ -22,11 +22,11 @@ let solve_passive a b passive =
       List.iteri (fun pos j -> z.(j) <- x.(pos)) idxs);
   z
 
-(* Minimize ||a x - b||_2 subject to x >= 0. *)
-let solve ?(max_iter = 0) a b =
+(* Minimize ||a x - b||_2 subject to x >= 0, in at most 10n iterations. *)
+let solve a b =
   let m = Mat.rows a and n = Mat.cols a in
   if Array.length b <> m then invalid_arg "Nnls.solve: size mismatch";
-  let max_iter = if max_iter > 0 then max_iter else 10 * n in
+  let max_iter = 10 * n in
   let passive = Array.make n false in
   let x = Array.make n 0.0 in
   let residual () =

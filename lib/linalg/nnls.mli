@@ -1,5 +1,5 @@
 (** Lawson–Hanson non-negative least squares. *)
 
-(** Minimize [||a x - b||_2] subject to [x >= 0].  [max_iter] defaults to
-    [10 * cols a]. *)
-val solve : ?max_iter:int -> Mat.t -> float array -> float array
+(** Minimize [||a x - b||_2] subject to [x >= 0], in at most [10 * cols a]
+    iterations. *)
+val solve : Mat.t -> float array -> float array

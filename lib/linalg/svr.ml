@@ -83,5 +83,3 @@ let fit ?(params = default_params) x y =
       order
   done;
   w
-
-let predict w x = Array.fold_left ( +. ) 0.0 (Array.mapi (fun j v -> v *. w.(j)) x)

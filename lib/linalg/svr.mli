@@ -7,5 +7,3 @@ val default_params : params
 (** Fit weights [w] minimizing the eps-insensitive loss of [x w] against [y].
     Deterministic across runs. *)
 val fit : ?params:params -> Mat.t -> float array -> float array
-
-val predict : float array -> float array -> float

@@ -42,10 +42,6 @@ let create cfg =
 
 let accesses t = t.accesses
 let misses t = t.misses
-let hits t = t.accesses - t.misses
-
-let miss_rate t =
-  if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
 
 (* Touch one byte address; returns true on hit.  Misses install the line
    over the first way holding the oldest stamp (invalid ways hold 0). *)

@@ -14,8 +14,6 @@ val access : t -> int -> bool
 
 val accesses : t -> int
 val misses : t -> int
-val hits : t -> int
-val miss_rate : t -> float
 val reset_stats : t -> unit
 
 type hierarchy = { levels : t list }

@@ -223,7 +223,6 @@ let of_string s =
   | _ -> err "not a %s file" header
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> of_string s
+  | exception Sys_error e -> Error e

@@ -5,4 +5,6 @@
 val to_string : Descr.t -> string
 val save : Descr.t -> string -> unit
 val of_string : string -> (Descr.t, string) result
+
+(** [Error] when the file cannot be read or parsed. *)
 val load : string -> (Descr.t, string) result

@@ -55,12 +55,6 @@ type t = {
   vec_setup_cycles : float;  (* one-off vector prologue + epilogue cost *)
 }
 
-let unit_count t kind =
-  match List.assoc_opt kind t.units with Some c -> c | None -> 0
-
-(* Natural vector factor for an element type. *)
-let vf_for t ty = max 1 (t.vector_bits / (8 * Types.size_bytes ty))
-
 (* LLVM picks the VF from the widest type moved through memory. *)
 let widest_mem_bytes (k : Kernel.t) =
   List.fold_left

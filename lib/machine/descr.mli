@@ -45,10 +45,5 @@ type t = {
   vec_setup_cycles : float;
 }
 
-val unit_count : t -> unit_kind -> int
-
-(** Natural vector factor for an element type. *)
-val vf_for : t -> Vir.Types.scalar -> int
-
 (** The VF LLVM would pick: from the widest type moved through memory. *)
 val vf_for_kernel : t -> Vir.Kernel.t -> int

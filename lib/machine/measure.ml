@@ -53,14 +53,9 @@ type measurement = {
    cache key), so cached samples are attributable to the backend that built
    them, and repeat runs over reused buffers are checked for determinism. *)
 
-type execution = {
-  exec_backend : Vexec.Backend.t;
-  exec_digest : string;  (* "trap:..." when the kernel traps *)
-  exec_reductions : (string * float) list;
-}
+type execution = { exec_digest : string (* "trap:..." when the kernel traps *) }
 
-let execute ?backend ?license ?effects ?(seed = 42) ?(repeats = 1) ~n
-    (k : Kernel.t) =
+let execute ?backend ?license ?(seed = 42) ?(repeats = 1) ~n (k : Kernel.t) =
   let backend =
     match backend with Some b -> b | None -> Vexec.Backend.default ()
   in
@@ -68,21 +63,9 @@ let execute ?backend ?license ?effects ?(seed = 42) ?(repeats = 1) ~n
   (* Ownership of the working set comes from the kernel's effect license:
      arrays the summary proves unwritten are [Frozen] (they alias the
      shared initialization masters instead of being copied per sample),
-     possibly-written arrays are [Owned].  The default summary is the
-     sound recursive-walk baseline; a caller-provided one must cover this
-     kernel — a mismatched license must never silently widen aliasing. *)
-  let effects =
-    match effects with
-    | Some e ->
-        if not (Vexec.Effects.covers e k) then
-          invalid_arg
-            (Printf.sprintf
-               "Measure.execute: effect license %s does not cover kernel %s"
-               e.Vexec.Effects.ef_kernel k.Kernel.name);
-        e
-    | None -> Vexec.Effects.of_kernel k
-  in
-  let readonly = Vexec.Effects.readonly effects in
+     possibly-written arrays are [Owned].  The summary is the sound
+     recursive-walk baseline. *)
+  let readonly = Vexec.Effects.readonly (Vexec.Effects.of_kernel k) in
   let env = Vinterp.Env.create ~seed ~readonly ~n k in
   (* Shadow any master this env just created, before the run can touch
      it.  Record-only: a full pre-run verify would double the sanitizer's
@@ -90,21 +73,17 @@ let execute ?backend ?license ?effects ?(seed = 42) ?(repeats = 1) ~n
      already provides. *)
   Vexec.Sanitize.observe ();
   let digest = ref "" in
-  let reds = ref [] in
   for r = 0 to max 1 repeats - 1 do
     (* Repeats reuse the environment's buffers: [Env.reset] refills them in
        place instead of reallocating the working set per repeat. *)
     if r > 0 then Vinterp.Env.reset ~seed env k;
-    let d, rs =
+    let d =
       match Vexec.Backend.run_in prepared env with
-      | reductions -> (Vexec.Backend.digest env reductions, reductions)
+      | reductions -> Vexec.Backend.digest env reductions
       | exception ((Vinterp.Env.Out_of_bounds _ | Invalid_argument _) as e) ->
-          ("trap:" ^ Printexc.to_string e, [])
+          "trap:" ^ Printexc.to_string e
     in
-    if r = 0 then begin
-      digest := d;
-      reds := rs
-    end
+    if r = 0 then digest := d
     else if not (String.equal !digest d) then
       invalid_arg
         (Printf.sprintf
@@ -120,7 +99,7 @@ let execute ?backend ?license ?effects ?(seed = 42) ?(repeats = 1) ~n
       ~key:(k.Kernel.name ^ "#" ^ string_of_int seed)
   then ignore (Vinterp.Env.poison_master ());
   Vexec.Sanitize.verify ~site:("measure:" ^ k.Kernel.name);
-  { exec_backend = backend; exec_digest = !digest; exec_reductions = !reds }
+  { exec_digest = !digest }
 
 let measure ?(noise_amp = default_noise) ?(seed = 1) (d : Descr.t) ~n
     (vk : Vvect.Vinstr.vkernel) =

@@ -22,9 +22,7 @@ val measure :
   measurement
 
 type execution = {
-  exec_backend : Vexec.Backend.t;
   exec_digest : string;  (** {!Vexec.Backend.digest}; ["trap:..."] if the run trapped *)
-  exec_reductions : (string * float) list;
 }
 
 (** Run the scalar kernel on the selected execution backend ([default ()]
@@ -36,15 +34,13 @@ type execution = {
     body once per kernel instead of per bind (a refuted license surfaces as
     a ["trap:..."] digest, which the soundness tests reject).
 
-    Buffer ownership comes from the kernel's effect license: arrays it
-    proves unwritten alias the shared masters ([Frozen]), written arrays
-    get owned copies.  [effects] substitutes a statically-refined license;
-    it must cover the kernel ([Invalid_argument] otherwise).  Under
+    Buffer ownership comes from the kernel's effect license
+    ({!Vexec.Effects.of_kernel}): arrays it proves unwritten alias the
+    shared masters ([Frozen]), written arrays get owned copies.  Under
     [Vexec.Sanitize] the shared masters are checksum-verified before and
     after the run, and the [sanitize.poison] fault site can corrupt one
     master after the measured runs — which the post-run verification must
     catch. *)
 val execute :
-  ?backend:Vexec.Backend.t -> ?license:Vexec.License.t ->
-  ?effects:Vexec.Effects.t -> ?seed:int ->
+  ?backend:Vexec.Backend.t -> ?license:Vexec.License.t -> ?seed:int ->
   ?repeats:int -> n:int -> Vir.Kernel.t -> execution

@@ -26,12 +26,6 @@ let bandwidth (mem : Descr.mem) = function
   | L3 -> mem.l3_bw
   | Dram -> mem.dram_bw
 
-let latency (mem : Descr.mem) = function
-  | L1 -> mem.l1_lat
-  | L2 -> mem.l2_lat
-  | L3 -> mem.l3_lat
-  | Dram -> mem.dram_lat
-
 (* Bytes one element access effectively pulls through the bottleneck level.
    Loop-invariant locations stay in registers; contiguous and reversed
    traversals use whole lines; sparse traversals pay for the full line

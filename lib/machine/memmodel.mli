@@ -11,8 +11,6 @@ val level_of : Descr.mem -> footprint_bytes:int -> level
 (** Sustainable bytes per cycle at a level. *)
 val bandwidth : Descr.mem -> level -> float
 
-val latency : Descr.mem -> level -> float
-
 (** Bytes one element access effectively pulls through the bottleneck:
     invariant accesses are free, sparse accesses pay whole lines beyond
     L1. *)

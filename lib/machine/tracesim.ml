@@ -57,8 +57,8 @@ let hierarchy_of (mem : Descr.mem) =
    every access fed through the hierarchy.  A first untimed pass warms the
    caches (measurements in the paper are steady-state over many
    repetitions); the second pass counts. *)
-let simulate ?(seed = 42) (mem : Descr.mem) ~n (k : Kernel.t) =
-  let env = Vinterp.Env.create ~seed ~n k in
+let simulate (mem : Descr.mem) ~n (k : Kernel.t) =
+  let env = Vinterp.Env.create ~seed:42 ~n k in
   let l = layout ~n ~line_bytes:mem.line_bytes k in
   let h = Cache.hierarchy (hierarchy_of mem) in
   let total = ref 0 in

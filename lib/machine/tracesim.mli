@@ -22,9 +22,9 @@ type stats = {
 }
 
 (** Run the scalar kernel twice at size [n] on {!Vexec.Backend.default}, one
-    environment for both, with every access simulated: a warm-up pass, then
+    environment (seed 42) for both, with every access simulated: a warm-up pass, then
     the measured pass the stats count. *)
-val simulate : ?seed:int -> Descr.mem -> n:int -> Vir.Kernel.t -> stats
+val simulate : Descr.mem -> n:int -> Vir.Kernel.t -> stats
 
 (** Where the stream actually lives.  Walking down from L1, levels whose
     local miss rate exceeds 2% pass the stream on; the answer is one level

@@ -10,7 +10,7 @@
    parallelism) run sequentially instead of deadlocking on the fixed pool.
 
    Supervision: [supervised_map] isolates per-task failures (index,
-   message, backtrace), retries with deterministic backoff, applies
+   message, backtrace), retries failed tasks in rounds, applies
    cooperative per-task timeouts, survives injected worker-domain crashes
    by respawning replacements, and degrades to sequential execution when
    domains cannot spawn at all.  Simulated faults (hangs, crashes) come
@@ -345,33 +345,18 @@ let run_indexed ?pool ?chunk ~n compute =
     end
   end
 
-let parallel_mapi_array ?pool ?chunk f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    run_indexed ?pool ?chunk ~n (fun i -> out.(i) <- Some (f i arr.(i)));
-    Array.map Option.get out
-  end
-
 let parallel_map ?pool ?chunk f l =
-  match l with
-  | [] -> []
-  | [ x ] -> (
-      try [ f x ]
-      with e ->
-        let backtrace = Printexc.get_backtrace () in
-        raise (Task_failed { index = 0; exn = e; backtrace }))
-  | _ ->
-      Array.to_list
-        (parallel_mapi_array ?pool ?chunk (fun _ x -> f x) (Array.of_list l))
+  let arr = Array.of_list l in
+  let n = Array.length arr in
+  let out = Array.make n None in
+  run_indexed ?pool ?chunk ~n (fun i -> out.(i) <- Some (f arr.(i)));
+  List.init n (fun i -> Option.get out.(i))
 
 (* --- supervised fan-out ---------------------------------------------------
 
    One job per task (tasks on this path are heavyweight: a full sample
    build), retried for up to [retries] extra attempts.  Between rounds the
-   submitter sleeps a deterministic exponential backoff and replaces any
-   worker domain lost to a crash.  Timeouts are cooperative: genuine
+   submitter replaces any worker domain lost to a crash.  Timeouts are cooperative: genuine
    compute in this simulated system cannot hang, so the only blocking
    primitive — the injected hang — sleeps in slices and honours the
    task's deadline by raising [Task_timeout], which cancels the task
@@ -396,8 +381,8 @@ type 'b slot =
   | Crashed of int (* attempts so far *)
   | Failed of failure
 
-let supervised_map ?pool ?(retries = 2) ?timeout_s ?(backoff_s = 0.0)
-    ?(task_key = string_of_int) f inputs =
+let supervised_map ?pool ?(retries = 2) ?timeout_s ?(task_key = string_of_int)
+    f inputs =
   let arr = Array.of_list inputs in
   let n = Array.length arr in
   if n = 0 then []
@@ -545,11 +530,7 @@ let supervised_map ?pool ?(retries = 2) ?timeout_s ?(backoff_s = 0.0)
     let rec rounds attempt =
       let tasks = pending () in
       if tasks <> [] && attempt <= retries then begin
-        if attempt > 0 then begin
-          List.iter (fun _ -> Atomic.incr retried) tasks;
-          if backoff_s > 0.0 then
-            Unix.sleepf (backoff_s *. (2.0 ** float_of_int (attempt - 1)))
-        end;
+        if attempt > 0 then List.iter (fun _ -> Atomic.incr retried) tasks;
         (match pool with
         | Some p -> run_round_pool p tasks
         | None -> run_round_inline tasks);

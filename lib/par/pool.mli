@@ -7,8 +7,8 @@
 
     The pool is supervised: task failures are isolated with their index
     and backtrace, worker domains lost to (injected) crashes are replaced
-    before the next fan-out, and {!supervised_map} adds bounded retry,
-    deterministic backoff and cooperative per-task timeouts on top. *)
+    before the next fan-out, and {!supervised_map} adds bounded retry and
+    cooperative per-task timeouts on top. *)
 
 type t
 
@@ -55,7 +55,7 @@ val set_sequential : bool -> unit
 val sequential : unit -> bool
 
 (** Install a hook the submitting domain runs after every fan-out barrier
-    ({!parallel_map} and its variants, and each {!supervised_map} call),
+    (each non-empty {!parallel_map} or {!supervised_map} call),
     before per-task failures are re-raised.  Used by the shadow-state
     sanitizer to verify shared master buffers at join points; exceptions
     propagate to the submitter.  Must be cheap when idle and callable
@@ -74,10 +74,6 @@ val set_join_check : (unit -> unit) -> unit
     synchronisation without adding parallelism. *)
 val parallel_map : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** Array variant with the element index, [Array.mapi]-style. *)
-val parallel_mapi_array :
-  ?pool:t -> ?chunk:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
 (** {2 Supervised fan-out} *)
 
 (** Why a task ended without a result after its retry budget. *)
@@ -94,7 +90,6 @@ type failure = {
     never an exception from [f].
 
     Failed tasks are retried in rounds; between rounds the submitter
-    sleeps [?backoff_s] doubling per round (default 0, no sleep) and
     replaces worker domains lost to injected crashes.  [?timeout_s]
     cancels a task whose simulated hang exceeds it (cooperative: real
     compute in this model cannot block).  [?task_key] names tasks for
@@ -105,7 +100,6 @@ val supervised_map :
   ?pool:t ->
   ?retries:int ->
   ?timeout_s:float ->
-  ?backoff_s:float ->
   ?task_key:(int -> string) ->
   ('a -> 'b) ->
   'a list ->

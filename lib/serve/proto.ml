@@ -195,5 +195,5 @@ let response_of_line line =
 let ok ~id ?(degraded = []) payload =
   { rs_id = id; rs_result = Ok payload; rs_degraded = degraded }
 
-let error ~id ?(degraded = []) code msg =
-  { rs_id = id; rs_result = Error (code, msg); rs_degraded = degraded }
+let error ~id code msg =
+  { rs_id = id; rs_result = Error (code, msg); rs_degraded = [] }

@@ -57,4 +57,4 @@ val response_to_line : response -> string
 val response_of_line : string -> (response, string) result
 
 val ok : id:string -> ?degraded:string list -> (string * Vjson.t) list -> response
-val error : id:string -> ?degraded:string list -> error_code -> string -> response
+val error : id:string -> error_code -> string -> response

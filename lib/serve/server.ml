@@ -99,7 +99,10 @@ let id_of_line line =
   | Ok r -> r.Proto.rq_id
   | Error (id, _, _) -> id
 
-let run ?pool ?(max_batch = 64) ~engine transport =
+(* Parsed requests in flight per fan-out. *)
+let max_batch = 64
+
+let run ~engine transport =
   let cfg = Engine.config engine in
   install_signals ();
   stop_requested := false;
@@ -184,7 +187,7 @@ let run ?pool ?(max_batch = 64) ~engine transport =
               (List.map (fun (_, line, _, _) -> id_of_line line) batch)
           in
           let outs =
-            Vpar.Pool.supervised_map ?pool
+            Vpar.Pool.supervised_map
               ~task_key:(fun i -> Printf.sprintf "serve|%s" keys.(i))
               (fun (c, line, depth, now) ->
                 Engine.handle_line engine ~now ~queue_depth:depth

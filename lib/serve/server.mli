@@ -16,8 +16,7 @@ val transport_to_string : transport -> string
 (** Serve until a [shutdown] request or termination signal arrives.
     Prints one startup line on stdout ("fresh" or "resumed" with the
     replayed request count — the crash-restart check greps for it) and
-    one stop line on exit.  [max_batch] (default 64) bounds how many
-    parsed requests are in flight per fan-out; arrivals beyond the
-    engine's queue limit are rejected with [overload]. *)
-val run :
-  ?pool:Vpar.Pool.t -> ?max_batch:int -> engine:Engine.t -> transport -> unit
+    one stop line on exit.  At most 64 parsed requests are in flight per
+    fan-out on the shared pool; arrivals beyond the engine's queue limit
+    are rejected with [overload]. *)
+val run : engine:Engine.t -> transport -> unit

@@ -13,11 +13,13 @@ let make_rng seed =
     state := x land max_int;
     !state mod bound
 
-(* Percentile CI of a paired statistic under resampling with replacement. *)
-let paired_ci ?(iterations = 1000) ?(seed = 7) ?(alpha = 0.05) stat xs ys =
+(* The 95% percentile CI of a paired statistic under resampling with
+   replacement, from a fixed seed. *)
+let paired_ci ~iterations stat xs ys =
   let n = Array.length xs in
   if n < 3 || n <> Array.length ys then invalid_arg "Bootstrap.paired_ci";
-  let rand = make_rng seed in
+  let alpha = 0.05 in
+  let rand = make_rng 7 in
   let stats =
     Array.init iterations (fun _ ->
         let bx = Array.make n 0.0 and by = Array.make n 0.0 in
@@ -38,8 +40,6 @@ let paired_ci ?(iterations = 1000) ?(seed = 7) ?(alpha = 0.05) stat xs ys =
   in
   (pick (alpha /. 2.0), pick (1.0 -. (alpha /. 2.0)))
 
-let pearson_ci ?iterations ?seed ?alpha xs ys =
-  paired_ci ?iterations ?seed ?alpha
-    (fun a b -> Correlation.pearson a b)
-    xs ys
+let pearson_ci ?(iterations = 1000) xs ys =
+  paired_ci ~iterations Correlation.pearson xs ys
 

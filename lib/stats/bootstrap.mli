@@ -1,5 +1,5 @@
 (** Percentile bootstrap confidence intervals (deterministic). *)
 
-val pearson_ci :
-  ?iterations:int -> ?seed:int -> ?alpha:float -> float array -> float array ->
-  float * float
+(** The 95% interval of Pearson's r over [iterations] resamples (default
+    1000). *)
+val pearson_ci : ?iterations:int -> float array -> float array -> float * float

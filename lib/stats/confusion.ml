@@ -35,13 +35,3 @@ let accuracy t =
   let n = total t in
   if n = 0 then 0.0 else float_of_int (t.tp + t.tn) /. float_of_int n
 
-let precision t =
-  if t.tp + t.fp = 0 then 1.0
-  else float_of_int t.tp /. float_of_int (t.tp + t.fp)
-
-let recall t =
-  if t.tp + t.fn = 0 then 1.0
-  else float_of_int t.tp /. float_of_int (t.tp + t.fn)
-
-let false_predictions t = t.fp + t.fn
-

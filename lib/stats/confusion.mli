@@ -8,6 +8,3 @@ val of_speedups :
 
 val total : t -> int
 val accuracy : t -> float
-val precision : t -> float
-val recall : t -> float
-val false_predictions : t -> int

@@ -37,26 +37,3 @@ let ranks xs =
   r
 
 let spearman a b = pearson (ranks a) (ranks b)
-
-(* Kendall's tau-b: rank correlation robust to the heavy ties that
-   classification-style predictions (like the baseline model's banded
-   estimates) produce.  O(n^2), fine at suite scale. *)
-let kendall a b =
-  let n = Array.length a in
-  if n < 2 || n <> Array.length b then invalid_arg "Correlation.kendall";
-  let concordant = ref 0 and discordant = ref 0 in
-  let ties_a = ref 0 and ties_b = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let da = compare a.(i) a.(j) and db = compare b.(i) b.(j) in
-      if da = 0 && db = 0 then ()
-      else if da = 0 then incr ties_a
-      else if db = 0 then incr ties_b
-      else if da * db > 0 then incr concordant
-      else incr discordant
-    done
-  done;
-  let c = float_of_int !concordant and d = float_of_int !discordant in
-  let ta = float_of_int !ties_a and tb = float_of_int !ties_b in
-  let denom = sqrt ((c +. d +. ta) *. (c +. d +. tb)) in
-  if denom = 0.0 then 0.0 else (c -. d) /. denom

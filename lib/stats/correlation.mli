@@ -8,6 +8,3 @@ val ranks : float array -> float array
 
 (** Spearman's rank correlation. *)
 val spearman : float array -> float array -> float
-
-(** Kendall's tau-b (tie-corrected). *)
-val kendall : float array -> float array -> float

@@ -12,8 +12,6 @@ let variance xs =
   Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
   /. float_of_int (n - 1)
 
-let stddev xs = sqrt (variance xs)
-
 (* Geometric mean; all inputs must be positive.  The paper reports speedups,
    for which the geometric mean is the standard aggregate. *)
 let geomean xs =
@@ -37,15 +35,6 @@ let rmse a b =
     s := !s +. (d *. d)
   done;
   sqrt (!s /. float_of_int n)
-
-let mae a b =
-  let n = Array.length a in
-  if n = 0 || n <> Array.length b then invalid_arg "Descriptive.mae";
-  let s = ref 0.0 in
-  for i = 0 to n - 1 do
-    s := !s +. abs_float (a.(i) -. b.(i))
-  done;
-  !s /. float_of_int n
 
 let minimum xs = Array.fold_left Float.min xs.(0) xs
 let maximum xs = Array.fold_left Float.max xs.(0) xs

@@ -37,7 +37,7 @@ let arith_ops = [ Op.Add; Op.Sub; Op.Mul; Op.Min; Op.Max ]
    and ends in a contiguous store and/or a reduction.  Construction is
    correct by construction: no illegal dependences are ever introduced, which
    the tests then verify through [Vdeps]. *)
-let kernel ?(max_ops = 8) seed =
+let kernel seed =
   let r = rng (seed + 1) in
   let b = Builder.make (Printf.sprintf "synth%04d" seed) ~descr:"generated" in
   let i = Builder.loop b "i" Kernel.Tn in
@@ -56,7 +56,7 @@ let kernel ?(max_ops = 8) seed =
         | _ -> Builder.load b arr [ Builder.ix i ])
   in
   (* Expression tree over the loaded values. *)
-  let n_ops = range r 1 max_ops in
+  let n_ops = range r 1 8 in
   let values = ref loads in
   for _ = 1 to n_ops do
     let x = pick r !values and y = pick r !values in
@@ -83,8 +83,7 @@ let kernel ?(max_ops = 8) seed =
   Builder.finish b
 
 (* A batch of kernels for training-set extension experiments. *)
-let batch ?(max_ops = 8) ~count seed =
-  List.init count (fun j -> kernel ~max_ops (seed + j))
+let batch ~count seed = List.init count (fun j -> kernel (seed + j))
 
 (* Adversarial dependence kernels: several statements reading and writing
    ONE array at random small offsets, in random order.  Unlike [kernel],

@@ -2,9 +2,10 @@
     (the paper's "add more tests" future-work item).  Kernels are pure
     functions of their seed and always well-formed. *)
 
-val kernel : ?max_ops:int -> int -> Vir.Kernel.t
+(** One to eight operations over two to four loads. *)
+val kernel : int -> Vir.Kernel.t
 
-val batch : ?max_ops:int -> count:int -> int -> Vir.Kernel.t list
+val batch : count:int -> int -> Vir.Kernel.t list
 
 (** Adversarial dependence-stress kernels over a single array with random
     small offsets; frequently illegal to vectorize.  Used to check that a

@@ -23,14 +23,13 @@ let st ?(off = 0) b arr i v = B.store b arr [ B.ix ~off i ] v
 
 (* Reversed traversals: arr[(n-1) - i + off]. *)
 let ld_rev ?(off = 0) b arr i = B.load b arr [ B.ix_rev ~off i ]
-let st_rev ?(off = 0) b arr i v = B.store b arr [ B.ix_rev ~off i ] v
+let st_rev b arr i v = B.store b arr [ B.ix_rev i ] v
 
-(* 2-d accesses arr[r][c] with per-dimension offsets. *)
+(* 2-d accesses arr[r][c]; loads take per-dimension offsets. *)
 let ld2 ?(roff = 0) ?(coff = 0) b arr r c =
   B.load b arr [ B.ix ~off:roff r; B.ix ~off:coff c ]
 
-let st2 ?(roff = 0) ?(coff = 0) b arr r c v =
-  B.store b arr [ B.ix ~off:roff r; B.ix ~off:coff c ] v
+let st2 b arr r c v = B.store b arr [ B.ix r; B.ix c ] v
 
 (* Strided 1-d access arr[scale*i + off]. *)
 let ld_s b arr ~scale ?(off = 0) i = B.load b arr [ B.ix ~scale ~off i ]

@@ -9,15 +9,14 @@ val mk : string -> string -> (B.t -> unit) -> Kernel.t
 val ld : ?off:int -> B.t -> string -> Instr.operand -> Instr.operand
 val st : ?off:int -> B.t -> string -> Instr.operand -> Instr.operand -> unit
 val ld_rev : ?off:int -> B.t -> string -> Instr.operand -> Instr.operand
-val st_rev : ?off:int -> B.t -> string -> Instr.operand -> Instr.operand -> unit
+val st_rev : B.t -> string -> Instr.operand -> Instr.operand -> unit
 
 val ld2 :
   ?roff:int -> ?coff:int -> B.t -> string -> Instr.operand -> Instr.operand ->
   Instr.operand
 
 val st2 :
-  ?roff:int -> ?coff:int -> B.t -> string -> Instr.operand -> Instr.operand ->
-  Instr.operand -> unit
+  B.t -> string -> Instr.operand -> Instr.operand -> Instr.operand -> unit
 
 val ld_s : B.t -> string -> scale:int -> ?off:int -> Instr.operand -> Instr.operand
 val st_s : B.t -> string -> scale:int -> ?off:int -> Instr.operand -> Instr.operand -> unit

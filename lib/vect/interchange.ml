@@ -21,32 +21,6 @@ type error =
   | Imperfect of string  (* why the direction vectors could not be computed *)
   | Illegal_direction of string  (* array with a (<, >) dependence *)
 
-let error_to_string = function
-  | Not_two_level -> "kernel is not a two-level nest"
-  | Imperfect why -> Printf.sprintf "cannot analyze: %s" why
-  | Illegal_direction arr ->
-      Printf.sprintf "dependence on %s has direction (<, >)" arr
-
-(* Exact distance vectors [(array, d_outer, d_inner)] of every loop-carried
-   dependence, from the nest-wide graph; an error when any edge lacks an
-   exact vector (unknown direction, indirect access, symbolic offsets). *)
-let distance_vectors (k : Kernel.t) =
-  if List.length k.loops <> 2 then Error Not_two_level
-  else
-    let g = Vdeps.Depgraph.build k in
-    if Vdeps.Depgraph.unknown_carried g <> [] then
-      Error (Imperfect "dependence direction unknown")
-    else
-      match Vdeps.Depgraph.distance_vectors g with
-      | None -> Error (Imperfect "no exact distance vector")
-      | Some vecs ->
-          Ok
-            (List.filter_map
-               (function
-                 | arr, [ dout; din ] -> Some (arr, dout, din)
-                 | _ -> None)
-               vecs)
-
 let legal (k : Kernel.t) =
   match Vdeps.Legality.interchange_verdict k with
   | Vdeps.Legality.Ix_legal -> Ok ()

@@ -7,13 +7,6 @@ type error =
   | Imperfect of string
   | Illegal_direction of string
 
-val error_to_string : error -> string
-
-(** Exact distance vectors [(array, d_outer, d_inner)] of every
-    loop-carried dependence, from the nest-wide graph. *)
-val distance_vectors :
-  Vir.Kernel.t -> ((string * int * int) list, error) result
-
 val legal : Vir.Kernel.t -> (unit, error) result
 val apply : Vir.Kernel.t -> (Vir.Kernel.t, error) result
 

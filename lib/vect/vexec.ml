@@ -237,7 +237,7 @@ let run_in env (vk : Vinstr.vkernel) =
       (r.red_name, I.red_combine r.red_op r.red_init folded))
     k.reductions
 
-let run ?seed ~n (vk : Vinstr.vkernel) =
-  let env = Env.create ?seed ~n vk.scalar in
+let run ~n (vk : Vinstr.vkernel) =
+  let env = Env.create ~n vk.scalar in
   let reductions = run_in env vk in
   ({ I.env; reductions } : I.result)

@@ -8,4 +8,4 @@ type vval = Vec of Vinterp.Interp.value array | Sca of Vinterp.Interp.value
 val run_in : Vinterp.Env.t -> Vinstr.vkernel -> (string * float) list
 
 (** Allocate a fresh (deterministic) environment and run. *)
-val run : ?seed:int -> n:int -> Vinstr.vkernel -> Vinterp.Interp.result
+val run : n:int -> Vinstr.vkernel -> Vinterp.Interp.result

@@ -195,4 +195,3 @@ let check_at ~n (k : t) = List.map (fun c -> c.c_violation) (classify_at ~n k)
 
 let check (k : t) = List.concat_map (fun n -> check_at ~n k) witness_sizes
 
-let is_safe k = check k = []

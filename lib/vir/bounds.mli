@@ -33,5 +33,3 @@ val classify : Kernel.t -> classified list
 
 (** Violations over all witness sizes; empty means provably safe. *)
 val check : Kernel.t -> violation list
-
-val is_safe : Kernel.t -> bool

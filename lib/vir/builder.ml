@@ -64,8 +64,8 @@ let var_of = function
   | Instr.Index v -> v
   | _ -> invalid_arg "Builder: subscript operand must be a loop index"
 
-let ix ?(scale = 1) ?(off = 0) ?(rel_n = false) op =
-  { Instr.terms = [ (var_of op, scale) ]; pterms = []; off; rel_n }
+let ix ?(scale = 1) ?(off = 0) op =
+  { Instr.terms = [ (var_of op, scale) ]; pterms = []; off; rel_n = false }
 
 let ix_const ?(rel_n = false) off = Instr.dim_const ~rel_n off
 
@@ -73,9 +73,9 @@ let ix_const ?(rel_n = false) off = Instr.dim_const ~rel_n off
 let ix_rev ?(off = 0) op =
   { Instr.terms = [ (var_of op, -1) ]; pterms = []; off; rel_n = true }
 
-let ix_vars ?(off = 0) ?(rel_n = false) terms =
+let ix_vars ?(off = 0) terms =
   { Instr.terms = List.map (fun (op, c) -> (var_of op, c)) terms;
-    pterms = []; off; rel_n }
+    pterms = []; off; rel_n = false }
 
 (* Add integer-parameter terms to a subscript, e.g. a[i + k]. *)
 let ix_plus_param b d (name, c) =
@@ -95,9 +95,9 @@ let array_info b ?(ty = Types.F32) ?(role = Kernel.Data) name =
       b.b_array_order <- name :: b.b_array_order;
       info
 
-let declare b ?(ty = Types.F32) ?(role = Kernel.Data) ?extent name =
-  let info = array_info b ~ty ~role name in
-  info.ai_ty <- ty;
+let declare b ?(role = Kernel.Data) ?extent name =
+  let info = array_info b ~role name in
+  info.ai_ty <- Types.F32;
   info.ai_role <- role;
   info.ai_extent <- extent
 

@@ -14,21 +14,19 @@ val ci : int -> Instr.operand
 val cf : float -> Instr.operand
 
 (** Subscripts. *)
-val ix : ?scale:int -> ?off:int -> ?rel_n:bool -> Instr.operand -> Instr.dim
+val ix : ?scale:int -> ?off:int -> Instr.operand -> Instr.dim
 val ix_const : ?rel_n:bool -> int -> Instr.dim
 
 (** [(n-1) - i + off]: reversed traversal. *)
 val ix_rev : ?off:int -> Instr.operand -> Instr.dim
 
-val ix_vars :
-  ?off:int -> ?rel_n:bool -> (Instr.operand * int) list -> Instr.dim
+val ix_vars : ?off:int -> (Instr.operand * int) list -> Instr.dim
 
 val ix_plus_param : t -> Instr.dim -> string * int -> Instr.dim
 
-(** Explicit array declaration (overrides inference). *)
+(** Explicit declaration of an F32 array (overrides inference). *)
 val declare :
-  t -> ?ty:Types.scalar -> ?role:Kernel.array_role -> ?extent:Kernel.extent ->
-  string -> unit
+  t -> ?role:Kernel.array_role -> ?extent:Kernel.extent -> string -> unit
 
 val load : t -> ?ty:Types.scalar -> string -> Instr.dim list -> Instr.operand
 val store : t -> ?ty:Types.scalar -> string -> Instr.dim list -> Instr.operand -> unit

@@ -114,17 +114,6 @@ let access_stride k (addr : Instr.addr) =
           if crow <> 0 then Srow crow else Sconst ccol
       | _ -> invalid_arg "Kernel.access_stride: unsupported dimensionality")
 
-(* Bytes touched per innermost iteration, counting every load and store;
-   drives the roofline term of the machine model. *)
-let bytes_per_iteration k =
-  List.fold_left
-    (fun acc instr ->
-      match instr with
-      | Instr.Load { ty; _ } | Instr.Store { ty; _ } ->
-          acc + Types.size_bytes ty
-      | _ -> acc)
-    0 k.body
-
 (* Total data footprint in bytes for problem size [n]: determines which cache
    level the working set lives in. *)
 let footprint_bytes ~n k =
@@ -132,7 +121,6 @@ let footprint_bytes ~n k =
     (fun acc d -> acc + (extent_elems ~n d.arr_extent * Types.size_bytes d.arr_ty))
     0 k.arrays
 
-let has_reduction k = k.reductions <> []
 let loop_vars k = List.map (fun l -> l.var) k.loops
 
 (* Registers of [body] that are live into a reduction or a later instruction;

@@ -55,9 +55,7 @@ type stride = Sconst of int | Srow of int | Sindirect
 val coeff_of : string -> Instr.dim -> int
 val access_stride : t -> Instr.addr -> stride
 
-val bytes_per_iteration : t -> int
 val footprint_bytes : n:int -> t -> int
-val has_reduction : t -> bool
 val loop_vars : t -> string list
 
 (** Set of register numbers referenced by the body or the reductions. *)

@@ -160,7 +160,6 @@ let errors (k : Kernel.t) : string list =
     err "kernel has no stores and no reductions";
   List.rev !errs
 
-let is_valid k = errors k = []
 
 let check_exn k =
   match errors k with

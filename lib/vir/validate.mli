@@ -3,7 +3,5 @@
 (** All violations found, empty when the kernel is well-formed. *)
 val errors : Kernel.t -> string list
 
-val is_valid : Kernel.t -> bool
-
 (** @raise Invalid_argument listing the violations, if any. *)
 val check_exn : Kernel.t -> unit

@@ -27,10 +27,7 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let fired pass k =
-  match A.Pass.find pass with
-  | None -> Alcotest.failf "unknown pass %s" pass
-  | Some p -> A.Pass.run_pass p k <> []
+let fired pass k = has_pass pass (A.Lints.run_all k)
 
 (* --- diag ----------------------------------------------------------------- *)
 
@@ -111,12 +108,6 @@ let test_dataflow_store_kills_invariance () =
   let df = A.Dataflow.analyze (B.finish b) in
   check "written array not invariant" false df.A.Dataflow.invariant.(0)
 
-let test_dataflow_use_counts () =
-  let k = simple () in
-  let df = A.Dataflow.analyze k in
-  check_int "load used once" 1 (A.Dataflow.use_count df 0);
-  check_int "add used once" 1 (A.Dataflow.use_count df 1)
-
 (* --- lint passes: seeded bugs ---------------------------------------------- *)
 
 let test_lint_dead_result () =
@@ -170,7 +161,7 @@ let test_lint_widening_chain_ok () =
   let back = B.cast b ~from_:Types.F64 ~to_:Types.F32 w in
   B.store b "a" [ B.ix i ] back;
   let k = B.finish b in
-  let ds = A.Pass.run_all k in
+  let ds = A.Lints.run_all k in
   check "no lossy warning" false
     (List.exists
        (fun d -> d.A.Diag.pass = "lossy-cast" && d.A.Diag.severity = A.Diag.Warning)
@@ -191,7 +182,7 @@ let test_lint_out_of_bounds () =
                 dims = [ { Instr.terms = [ ("i", 1) ]; pterms = []; off = 0; rel_n = false } ] };
               src = Instr.Reg 0 } ] }
   in
-  let ds = A.Pass.run_all bad in
+  let ds = A.Lints.run_all bad in
   check "out-of-bounds fires as Error" true
     (List.exists
        (fun d -> d.A.Diag.pass = "out-of-bounds" && A.Diag.is_error d)
@@ -241,7 +232,7 @@ let test_lint_oob_proven_diag () =
   B.store b "a" [ B.ix i ] x;
   let k = B.finish b in
   match
-    List.filter (fun d -> d.A.Diag.pass = "out-of-bounds") (A.Pass.run_all k)
+    List.filter (fun d -> d.A.Diag.pass = "out-of-bounds") (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "seeded proven OOB not reported"
   | d :: _ ->
@@ -259,7 +250,7 @@ let test_lint_misaligned_store_diag () =
   let x = B.load b "b" [ B.ix i ] in
   B.store b "a" [ B.ix ~off:1 i ] x;
   let k = B.finish b in
-  let ds = A.Pass.run_all k in
+  let ds = A.Lints.run_all k in
   check "no out-of-bounds error" false
     (List.exists (fun d -> d.A.Diag.pass = "out-of-bounds" && A.Diag.is_error d) ds);
   match List.filter (fun d -> d.A.Diag.pass = "misaligned-access") ds with
@@ -279,7 +270,7 @@ let test_lint_unbounded_recurrence_diag () =
   B.store b "a" [ B.ix i ] (B.addf b x y);
   let k = B.finish b in
   match
-    List.filter (fun d -> d.A.Diag.pass = "unbounded-recurrence") (A.Pass.run_all k)
+    List.filter (fun d -> d.A.Diag.pass = "unbounded-recurrence") (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "seeded recurrence not reported"
   | d :: _ ->
@@ -297,7 +288,7 @@ let test_lint_dead_store_diag () =
   B.store b "a" [ B.ix i ] (B.addf b x x);
   let k = B.finish b in
   match
-    List.filter (fun d -> d.A.Diag.pass = "dead-store") (A.Pass.run_all k)
+    List.filter (fun d -> d.A.Diag.pass = "dead-store") (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "seeded dead store not reported"
   | d :: _ ->
@@ -317,7 +308,7 @@ let test_lint_loop_invariant_compute_diag () =
   match
     List.filter
       (fun d -> d.A.Diag.pass = "loop-invariant-compute")
-      (A.Pass.run_all k)
+      (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "seeded invariant compute not reported"
   | d :: _ ->
@@ -337,7 +328,7 @@ let test_lint_loop_carried_at_vf_diag () =
   match
     List.filter
       (fun d -> d.A.Diag.pass = "loop-carried-at-vf")
-      (A.Pass.run_all k)
+      (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "seeded carried dependence not reported"
   | d :: _ ->
@@ -357,7 +348,7 @@ let test_lint_assumed_conflict_free_diag () =
   match
     List.filter
       (fun d -> d.A.Diag.pass = "assumed-conflict-free")
-      (A.Pass.run_all k)
+      (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "assumed legality not reported"
   | d :: _ ->
@@ -377,7 +368,7 @@ let test_lint_frozen_buffer_write_diag () =
   match
     List.filter
       (fun d -> d.A.Diag.pass = "frozen-buffer-write")
-      (A.Pass.run_all k)
+      (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "seeded frozen-buffer write not reported"
   | d :: _ ->
@@ -395,23 +386,13 @@ let test_lint_effect_escape_diag () =
   B.store_ix b "a" ix (B.load b "b" [ B.ix i ]);
   let k = B.finish b in
   match
-    List.filter (fun d -> d.A.Diag.pass = "effect-escape") (A.Pass.run_all k)
+    List.filter (fun d -> d.A.Diag.pass = "effect-escape") (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "seeded effect escape not reported"
   | d :: _ ->
       check "severity Warning" true (d.A.Diag.severity = A.Diag.Warning);
       check "names the scatter" true (contains d.A.Diag.message "scatter");
       check "clean kernel quiet" false (fired "effect-escape" (simple ()))
-
-(* --- pass registry --------------------------------------------------------- *)
-
-let test_pass_registry () =
-  check "15 builtin passes" true (List.length A.Pass.builtin = 15);
-  check "find works" true (A.Pass.find "dead-result" <> None);
-  check "unknown absent" true (A.Pass.find "no-such-pass" = None);
-  let names = List.map (fun p -> p.A.Pass.name) A.Pass.builtin in
-  check_int "names unique" (List.length names)
-    (List.length (List.sort_uniq compare names))
 
 (* --- vector-IR validator: structural seeded bugs ---------------------------- *)
 
@@ -597,7 +578,7 @@ let test_equiv_unroll_detects_dropped_copy () =
 let test_registry_lint_gate () =
   List.iter
     (fun (e : Tsvc.Registry.entry) ->
-      let errs = List.filter A.Diag.is_error (A.Pass.run_all e.kernel) in
+      let errs = List.filter A.Diag.is_error (A.Lints.run_all e.kernel) in
       match errs with
       | [] -> ()
       | d :: _ ->
@@ -783,7 +764,7 @@ let test_lint_oob_param_dependent () =
   B.store b "a" [ B.ix i ] x;
   let k = B.finish b in
   match
-    List.filter (fun d -> d.A.Diag.pass = "out-of-bounds") (A.Pass.run_all k)
+    List.filter (fun d -> d.A.Diag.pass = "out-of-bounds") (A.Lints.run_all k)
   with
   | [] -> Alcotest.fail "parameter-dependent OOB not reported"
   | d :: _ ->
@@ -897,7 +878,6 @@ let tests =
     Alcotest.test_case "dataflow consts" `Quick test_dataflow_consts;
     Alcotest.test_case "dataflow invariance" `Quick test_dataflow_invariance;
     Alcotest.test_case "dataflow store kills invariance" `Quick test_dataflow_store_kills_invariance;
-    Alcotest.test_case "dataflow use counts" `Quick test_dataflow_use_counts;
     Alcotest.test_case "lint dead result" `Quick test_lint_dead_result;
     Alcotest.test_case "lint redundant load" `Quick test_lint_redundant_load;
     Alcotest.test_case "lint redundant load stores" `Quick test_lint_redundant_load_respects_stores;
@@ -916,7 +896,6 @@ let tests =
     Alcotest.test_case "lint assumed conflict free diag" `Quick test_lint_assumed_conflict_free_diag;
     Alcotest.test_case "lint frozen buffer write diag" `Quick test_lint_frozen_buffer_write_diag;
     Alcotest.test_case "lint effect escape diag" `Quick test_lint_effect_escape_diag;
-    Alcotest.test_case "pass registry" `Quick test_pass_registry;
     Alcotest.test_case "vvalidate good body" `Quick test_vvalidate_good;
     Alcotest.test_case "vvalidate undefined register" `Quick test_vvalidate_undefined_register;
     Alcotest.test_case "vvalidate splat of index" `Quick test_vvalidate_splat_of_inner_index;

@@ -197,11 +197,6 @@ let test_loocv_close_to_fit () =
   check "loocv does not beat in-sample fit by much" true
     (e_cv.pearson < e_fit.pearson +. 0.05)
 
-let test_kfold_shape () =
-  let s = Lazy.force arm_samples in
-  let p = Crossval.kfold ~k:5 ~method_:Linmodel.L2 ~features:Linmodel.Rated ~target:Linmodel.Speedup s in
-  check_int "kfold size" (List.length s) (Array.length p)
-
 (* --- metrics --------------------------------------------------------------------- *)
 
 let test_metrics_perfect_predictions () =
@@ -296,7 +291,6 @@ let tests =
     Alcotest.test_case "svr fit" `Quick test_svr_fit_runs;
     Alcotest.test_case "loocv shape" `Slow test_loocv_shape;
     Alcotest.test_case "loocv vs fit" `Slow test_loocv_close_to_fit;
-    Alcotest.test_case "kfold shape" `Quick test_kfold_shape;
     Alcotest.test_case "metrics oracle" `Quick test_metrics_perfect_predictions;
     Alcotest.test_case "metrics never-vectorize" `Quick test_metrics_never_vectorize;
     Alcotest.test_case "F2 shape" `Slow test_f2_shape;

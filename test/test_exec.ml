@@ -220,7 +220,8 @@ let test_transformed_equivalence () =
    would hide from the memory-image comparison. *)
 let test_reduction_equivalence () =
   let reducers =
-    List.filter (fun (e : Tsvc.Registry.entry) -> Kernel.has_reduction e.kernel)
+    List.filter
+      (fun (e : Tsvc.Registry.entry) -> e.kernel.Kernel.reductions <> [])
       registry_entries
   in
   check "registry has reduction kernels" true (List.length reducers >= 10);
@@ -316,7 +317,7 @@ let test_seeded_reduction_bug () =
   let k =
     match
       List.find_opt
-        (fun (e : Tsvc.Registry.entry) -> Kernel.has_reduction e.kernel)
+        (fun (e : Tsvc.Registry.entry) -> e.kernel.Kernel.reductions <> [])
         registry_entries
     with
     | Some e -> e.kernel

@@ -30,8 +30,7 @@ let test_effect_regions_exact () =
   let s = A.Effect.analyze ~n:2_000_000 (Tsvc.Registry.find_exn "s000").kernel in
   let v = Result.get_ok (Vjson.parse (Vjson.to_string (A.Effect.summary_to_json s))) in
   let upper =
-    Option.bind (Vjson.member "effects" v) Vjson.list
-    |> Option.value ~default:[]
+    (match Vjson.member "effects" v with Some (Vjson.List l) -> l | _ -> [])
     |> List.find_map (fun e ->
            match Vjson.member "write_region" e with
            | Some (Vjson.List [ _; hi ]) -> Vjson.int hi

@@ -22,12 +22,6 @@ let llv ?(machine = M.neon_a57) k =
 
 (* --- descriptions ---------------------------------------------------------- *)
 
-let test_vf_for () =
-  check_int "neon f32" 4 (D.vf_for M.neon_a57 Types.F32);
-  check_int "neon f64" 2 (D.vf_for M.neon_a57 Types.F64);
-  check_int "avx2 f32" 8 (D.vf_for M.xeon_avx2 Types.F32);
-  check_int "avx2 f64" 4 (D.vf_for M.xeon_avx2 Types.F64)
-
 let test_vf_for_kernel () =
   check_int "f32 kernel" 4 (D.vf_for_kernel M.neon_a57 (kern "s000"));
   (* Index-array (I32) loads do not narrow the VF on NEON. *)
@@ -41,11 +35,6 @@ let test_machine_lookup () =
     | None -> false);
   check "by_name misses" true (M.by_name "pentium" = None);
   check_int "four machines" 4 (List.length M.all)
-
-let test_unit_counts () =
-  check_int "neon loads" 1 (D.unit_count M.neon_a57 D.U_mem_load);
-  check_int "xeon loads" 2 (D.unit_count M.xeon_avx2 D.U_mem_load);
-  check_int "absent" 0 (D.unit_count M.neon_a57 D.U_mem_load - 1 + 1 - 1 + 1 - 1)
 
 (* --- memory model ----------------------------------------------------------- *)
 
@@ -83,9 +72,7 @@ let test_bandwidth_ordering () =
   check "bw decreases down the hierarchy" true
     (Mem.bandwidth mem Mem.L1 > Mem.bandwidth mem Mem.L2
     && Mem.bandwidth mem Mem.L2 > Mem.bandwidth mem Mem.L3
-    && Mem.bandwidth mem Mem.L3 > Mem.bandwidth mem Mem.Dram);
-  check "latency increases" true
-    (Mem.latency mem Mem.L1 < Mem.latency mem Mem.Dram)
+    && Mem.bandwidth mem Mem.L3 > Mem.bandwidth mem Mem.Dram)
 
 (* --- estimator -------------------------------------------------------------- *)
 
@@ -190,10 +177,8 @@ let test_epilogue_accounted () =
     (total > blocks *. vest.S.cycles)
 
 let tests =
-  [ Alcotest.test_case "vf_for" `Quick test_vf_for;
-    Alcotest.test_case "vf_for_kernel" `Quick test_vf_for_kernel;
+  [ Alcotest.test_case "vf_for_kernel" `Quick test_vf_for_kernel;
     Alcotest.test_case "machine lookup" `Quick test_machine_lookup;
-    Alcotest.test_case "unit counts" `Quick test_unit_counts;
     Alcotest.test_case "level selection" `Quick test_level_selection;
     Alcotest.test_case "no l3 on a57" `Quick test_no_l3_machine;
     Alcotest.test_case "effective bytes" `Quick test_effective_bytes;

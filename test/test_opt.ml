@@ -28,7 +28,7 @@ let same_behaviour ?(n = 101) k k' =
 
 let registry = Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries
 
-(* --- SSA form + dominators -------------------------------------------------- *)
+(* --- SSA form --------------------------------------------------------------- *)
 
 let test_ssa_registry_well_formed () =
   List.iter
@@ -38,25 +38,6 @@ let test_ssa_registry_well_formed () =
       | exception A.Ssa.Not_ssa m ->
           Alcotest.failf "%s: %s" e.kernel.Kernel.name m)
     registry
-
-let test_ssa_dominators () =
-  let k = (Tsvc.Registry.find_exn "s2275").kernel in
-  (* a 2-d kernel: entry dominates everything, headers nest, the body is
-     dominated by every header *)
-  let s = A.Ssa.of_kernel k in
-  let d = List.length k.Kernel.loops in
-  check_int "node count" ((2 * d) + 3) (Array.length s.A.Ssa.nodes);
-  Array.iteri
-    (fun v _ -> check "entry dominates" true (A.Ssa.dominates s s.A.Ssa.entry v))
-    s.A.Ssa.nodes;
-  for i = 0 to d - 1 do
-    check "header dominates body" true
-      (A.Ssa.dominates s (1 + i) s.A.Ssa.block)
-  done;
-  check "body does not dominate header" false
-    (A.Ssa.dominates s s.A.Ssa.block 1);
-  check "dom depth grows" true
-    (A.Ssa.dom_depth s s.A.Ssa.block > A.Ssa.dom_depth s 1)
 
 let test_ssa_rejects_forward_use () =
   let k = (Tsvc.Registry.find_exn "s000").kernel in
@@ -86,7 +67,7 @@ let test_avail_commutative () =
   let k = B.finish b in
   let av = A.Avail.analyze k in
   (* positions: 0 load, 1 load, 2 add, 3 add, 4 mul, 5 store *)
-  check "a+b and b+a share a value number" true (A.Avail.redundant av 3);
+  check "a+b and b+a share a value number" true (A.Avail.leader_of av 3 <> 3);
   check_int "leader is the first add" 2 (A.Avail.leader_of av 3)
 
 let test_avail_load_killed_by_store () =
@@ -101,7 +82,8 @@ let test_avail_load_killed_by_store () =
   Array.iteri
     (fun pos instr ->
       if Instr.is_load instr then
-        check "no load merged across the store" false (A.Avail.redundant av pos))
+        check "no load merged across the store" true
+          (A.Avail.leader_of av pos = pos))
     (Array.of_list k.Kernel.body)
 
 (* --- DCE -------------------------------------------------------------------- *)
@@ -389,7 +371,7 @@ let per_pass_props =
         (fun seed ->
           let k = Vsynth.Generator.kernel seed in
           let k' = p.A.Opt.p_run k in
-          Validate.is_valid k'
+          Validate.errors k' = []
           && body_len k' <= body_len k
           && A.Equiv.semantic_diags ~pass:p.A.Opt.p_name ~orig:k k' = []))
     A.Opt.pipeline
@@ -401,7 +383,7 @@ let prop_pipeline_stress =
     (fun seed ->
       let k = Vsynth.Generator.dep_kernel seed in
       let k' = A.Opt.normalize k in
-      Validate.is_valid k' && same_behaviour k k')
+      Validate.errors k' = [] && same_behaviour k k')
 
 (* --- determinism: opt --json byte-stable across worker counts ------------------ *)
 
@@ -420,7 +402,6 @@ let test_opt_json_deterministic () =
 
 let tests =
   [ Alcotest.test_case "ssa registry well-formed" `Quick test_ssa_registry_well_formed;
-    Alcotest.test_case "ssa dominators" `Quick test_ssa_dominators;
     Alcotest.test_case "ssa rejects forward use" `Quick test_ssa_rejects_forward_use;
     Alcotest.test_case "avail commutative" `Quick test_avail_commutative;
     Alcotest.test_case "avail kill by store" `Quick test_avail_load_killed_by_store;

@@ -92,57 +92,11 @@ let prop_parallel_map_identity =
       let f x = (3 * x) + 1 in
       Vpar.Pool.parallel_map ~pool ~chunk f l = List.map f l)
 
-(* --- kfold edge cases ------------------------------------------------------- *)
+(* --- analytic LOOCV vs naive refits ------------------------------------------ *)
 
 let arm_samples () =
   Experiment.samples ~machine:Vmachine.Machines.neon_a57 ~transform:Dataset.Llv
     ()
-
-let kfold_at k s =
-  Crossval.kfold ~k ~method_:Linmodel.L2 ~features:Linmodel.Rated
-    ~target:Linmodel.Speedup s
-
-let test_kfold_rejects_small_k () =
-  let s = arm_samples () in
-  List.iter
-    (fun k ->
-      check_bool
-        (Printf.sprintf "k = %d rejected" k)
-        true
-        (try
-           ignore (kfold_at k s);
-           false
-         with Invalid_argument _ -> true))
-    [ -1; 0; 1 ]
-
-let test_kfold_rejects_large_k () =
-  let s = arm_samples () in
-  let n = List.length s in
-  check_bool "k = n + 1 rejected" true
-    (try
-       ignore (kfold_at (n + 1) s);
-       false
-     with Invalid_argument _ -> true)
-
-let test_kfold_k_eq_n_is_loocv () =
-  (* With k = n every fold is one sample, so k-fold degenerates to
-     leave-one-out; both paths must agree (analytic vs per-fold refit). *)
-  let s = arm_samples () in
-  let n = List.length s in
-  let kf = kfold_at n s in
-  let loo =
-    Crossval.loocv ~method_:Linmodel.L2 ~features:Linmodel.Rated
-      ~target:Linmodel.Speedup s
-  in
-  check_int "lengths" n (Array.length kf);
-  Array.iteri
-    (fun i v ->
-      Alcotest.check (Alcotest.float 1e-9)
-        (Printf.sprintf "sample %d" i)
-        v loo.(i))
-    kf
-
-(* --- analytic LOOCV vs naive refits ------------------------------------------ *)
 
 (* The pre-PR-2 implementation, kept here as the reference oracle. *)
 let loocv_naive ~method_ ~features ~target samples =
@@ -297,9 +251,6 @@ let tests =
     Alcotest.test_case "pool sequential flag" `Quick test_pool_sequential_flag;
     Alcotest.test_case "pool default" `Quick test_pool_default;
     QCheck_alcotest.to_alcotest prop_parallel_map_identity;
-    Alcotest.test_case "kfold rejects k < 2" `Quick test_kfold_rejects_small_k;
-    Alcotest.test_case "kfold rejects k > n" `Quick test_kfold_rejects_large_k;
-    Alcotest.test_case "kfold k = n is loocv" `Quick test_kfold_k_eq_n_is_loocv;
     Alcotest.test_case "analytic loocv matches naive (TSVC)" `Quick
       test_analytic_loocv_matches_naive_tsvc;
     Alcotest.test_case "nnls loocv unchanged" `Quick test_nnls_loocv_unchanged;

@@ -21,7 +21,7 @@ let test_quickstart_flow () =
   Builder.store b "a" [ Builder.ix i ] v;
   let k = Builder.finish b in
   Validate.check_exn k;
-  check "bounds safe" true (Bounds.is_safe k);
+  check "bounds safe" true (Bounds.check k = []);
   check "legal" true (Vdeps.Dependence.vectorizable k);
   let vk = Result.get_ok (Vvect.Llv.vectorize ~vf:4 k) in
   let rs = Vinterp.Interp.run ~n:500 k in

@@ -10,12 +10,16 @@ let n = 8000
 
 let kern name = (Tsvc.Registry.find_exn name).kernel
 
-let cands name = Select.candidates machine ~n (kern name)
+let candidates =
+  Select.candidates ~noise_amp:Vmachine.Measure.default_noise ~seed:1 machine
+    ~n
+
+let cands name = candidates (kern name)
 
 let test_scalar_always_present () =
   List.iter
     (fun (e : Tsvc.Registry.entry) ->
-      let cs = Select.candidates machine ~n e.kernel in
+      let cs = candidates e.kernel in
       check (e.kernel.Vir.Kernel.name ^ " has scalar") true
         (List.exists (fun c -> c.Select.cd_vk = None) cs))
     Tsvc.Registry.all

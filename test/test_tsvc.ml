@@ -71,7 +71,7 @@ let test_access_pattern_diversity () =
 
 let test_reduction_kernels_present () =
   let reds =
-    List.filter (fun (k : Kernel.t) -> Kernel.has_reduction k)
+    List.filter (fun (k : Kernel.t) -> k.Kernel.reductions <> [])
       Tsvc.Registry.kernels
   in
   check "at least a dozen reductions" true (List.length reds >= 12)

@@ -231,7 +231,7 @@ let synth_pipeline_prop transform_name transform =
     QCheck.(int_bound 10_000)
     (fun seed ->
       let k = Vsynth.Generator.kernel seed in
-      if not (Validate.is_valid k) then false
+      if Validate.errors k <> [] then false
       else
         match transform k with
         | None -> true (* transform not applicable: fine *)
@@ -253,7 +253,7 @@ let prop_synth_valid =
     QCheck.(int_bound 100_000)
     (fun seed ->
       let k = Vsynth.Generator.kernel seed in
-      Validate.is_valid k && Bounds.is_safe k)
+      Validate.errors k = [] && Bounds.check k = [])
 
 let tests =
   [ Alcotest.test_case "llv rejects vf 1" `Quick test_llv_rejects_vf1;
@@ -297,7 +297,7 @@ let soundness_prop name vf transform =
     QCheck.(int_bound 50_000)
     (fun seed ->
       let k = Vsynth.Generator.dep_kernel seed in
-      if not (Validate.is_valid k) then false
+      if Validate.errors k <> [] then false
       else if not (Vdeps.Dependence.legal_for_vf k vf) then true
       else
         match transform ~vf k with
@@ -460,7 +460,7 @@ let test_interchange_rejects_1d () =
 let test_interchange_swaps_loops () =
   let k = (Tsvc.Registry.find_exn "s1232").kernel in
   match Ix.apply k with
-  | Error e -> Alcotest.failf "should be legal: %s" (Ix.error_to_string e)
+  | Error _ -> Alcotest.fail "should be legal"
   | Ok k' ->
       check "loops swapped" true
         (Vir.Kernel.loop_vars k' = List.rev (Vir.Kernel.loop_vars k));
@@ -488,14 +488,6 @@ let test_interchange_wavefront_legal_but_serial () =
   let k = (Tsvc.Registry.find_exn "s2111").kernel in
   check "legal" true (Ix.legal k = Ok ());
   check "does not unlock" true (Ix.enable_vectorization k = None)
-
-let test_interchange_direction_vectors () =
-  let k = (Tsvc.Registry.find_exn "s2111").kernel in
-  match Ix.distance_vectors k with
-  | Error e -> Alcotest.failf "analyzable: %s" (Ix.error_to_string e)
-  | Ok vecs ->
-      check "row dep present" true (List.mem ("aa", 1, 0) vecs);
-      check "column dep present" true (List.mem ("aa", 0, 1) vecs)
 
 let test_interchange_refuses_coupled () =
   (* s114 transposes subscripts (aa[i][j] vs aa[j][i]): the old separable
@@ -526,7 +518,6 @@ let interchange_tests =
     Alcotest.test_case "interchange swaps" `Quick test_interchange_swaps_loops;
     Alcotest.test_case "interchange unlocks s232" `Quick test_interchange_unlocks_s232;
     Alcotest.test_case "interchange wavefront" `Quick test_interchange_wavefront_legal_but_serial;
-    Alcotest.test_case "direction vectors" `Quick test_interchange_direction_vectors;
     Alcotest.test_case "interchange refuses coupled" `Quick test_interchange_refuses_coupled;
     Alcotest.test_case "interchange sound on suite" `Slow test_interchange_semantics_all_2d ]
 

@@ -154,10 +154,6 @@ let test_footprint () =
   let fp = Kernel.footprint_bytes ~n:1000 k in
   check "footprint about 8KB" true (fp >= 8000 && fp <= 8200)
 
-let test_bytes_per_iteration () =
-  let k = simple () in
-  check_int "one load one store of f32" 8 (Kernel.bytes_per_iteration k)
-
 let test_total_iterations () =
   let b = B.make "nest" in
   let j = B.loop b "j" Kernel.Tn2 in
@@ -222,7 +218,7 @@ let test_builder_no_loop_fails () =
 (* --- validator ---------------------------------------------------------- *)
 
 let test_validate_ok () =
-  check "simple kernel valid" true (Validate.is_valid (simple ()))
+  check "simple kernel valid" true (Validate.errors (simple ()) = [])
 
 let invalid_with body_patch =
   let k = simple () in
@@ -257,7 +253,7 @@ let test_validate_no_effect () =
   let i = B.loop b "i" Kernel.Tn in
   ignore (B.load b "b" [ B.ix i ]);
   let k = B.finish b in
-  check "no store/reduction rejected" true (not (Validate.is_valid k))
+  check "no store/reduction rejected" true (Validate.errors k <> [])
 
 let test_validate_mask_usage () =
   let b = B.make "mask" in
@@ -268,7 +264,7 @@ let test_validate_mask_usage () =
   let bad = B.addf b c x in
   B.store b "a" [ B.ix i ] bad;
   let k = B.finish b in
-  check "mask in arith rejected" true (not (Validate.is_valid k))
+  check "mask in arith rejected" true (Validate.errors k <> [])
 
 let test_validate_select_needs_mask () =
   let b = B.make "selbad" in
@@ -277,7 +273,7 @@ let test_validate_select_needs_mask () =
   let v = B.select b x x x in
   B.store b "a" [ B.ix i ] v;
   let k = B.finish b in
-  check "non-mask condition rejected" true (not (Validate.is_valid k))
+  check "non-mask condition rejected" true (Validate.errors k <> [])
 
 let test_validate_unknown_loop_var () =
   let errs =
@@ -313,13 +309,13 @@ let test_validate_2d_dim_mismatch () =
               addr = Instr.Affine { arr = "a"; dims = [ { Instr.terms = [ ("i", 1) ]; pterms = []; off = 0; rel_n = false } ] };
               src = Instr.Reg 0 } ] }
   in
-  check "dim mismatch rejected" true (not (Validate.is_valid bad))
+  check "dim mismatch rejected" true (Validate.errors bad <> [])
 
 let test_validate_duplicate_loop_var () =
   let k = simple () in
   let l = Kernel.innermost k in
   let bad = { k with Kernel.loops = [ l; l ] } in
-  check "duplicate loop variable rejected" true (not (Validate.is_valid bad))
+  check "duplicate loop variable rejected" true (Validate.errors bad <> [])
 
 let test_validate_bad_store_type () =
   (* An I64 store of a F32 value into a F32-declared array. *)
@@ -342,7 +338,7 @@ let test_validate_bad_store_type () =
   let x = B.load b "b" [ B.ix i ] in
   let c = B.cmp b Op.Gt x (B.cf 0.0) in
   B.store b "a" [ B.ix i ] c;
-  check "mask store rejected" true (not (Validate.is_valid (B.finish b)))
+  check "mask store rejected" true (Validate.errors (B.finish b) <> [])
 
 (* --- pretty printer ------------------------------------------------------ *)
 
@@ -375,7 +371,6 @@ let tests =
     Alcotest.test_case "access stride 1-d" `Quick test_access_stride;
     Alcotest.test_case "access stride 2-d" `Quick test_access_stride_2d;
     Alcotest.test_case "footprint" `Quick test_footprint;
-    Alcotest.test_case "bytes per iteration" `Quick test_bytes_per_iteration;
     Alcotest.test_case "total iterations" `Quick test_total_iterations;
     Alcotest.test_case "builder registers" `Quick test_builder_registers;
     Alcotest.test_case "builder extent inference" `Quick test_builder_array_inference;
@@ -398,7 +393,7 @@ let tests =
 (* --- bounds analysis -------------------------------------------------------- *)
 
 let test_bounds_simple_safe () =
-  check "simple kernel safe" true (Bounds.is_safe (simple ()))
+  check "simple kernel safe" true (Bounds.check (simple ()) = [])
 
 let test_bounds_catches_offset () =
   (* a[i+5] with extent inferred for off 0: patch the body to overrun. *)
@@ -414,7 +409,7 @@ let test_bounds_catches_offset () =
               addr = Instr.Affine { arr = "a"; dims = [ { Instr.terms = [ ("i", 1) ]; pterms = []; off = 0; rel_n = false } ] };
               src = Instr.Reg 0 } ] }
   in
-  check "overrun detected" false (Bounds.is_safe bad);
+  check "overrun detected" false (Bounds.check bad = []);
   let v = List.hd (Bounds.check bad) in
   check "right array" true (v.Bounds.v_array = "b")
 
@@ -425,7 +420,7 @@ let test_bounds_catches_negative () =
   let x = B.load b "b" [ B.ix ~off:(-1) i ] in
   B.store b "a" [ B.ix i ] x;
   let k = B.finish b in
-  check "underrun detected" false (Bounds.is_safe k);
+  check "underrun detected" false (Bounds.check k = []);
   check "negative index reported" true
     ((List.hd (Bounds.check k)).Bounds.v_index < 0)
 
@@ -434,7 +429,7 @@ let test_bounds_start_protects () =
   let i = B.loop b ~start:1 "i" Kernel.Tn in
   let x = B.load b "b" [ B.ix ~off:(-1) i ] in
   B.store b "a" [ B.ix i ] x;
-  check "start 1 makes i-1 safe" true (Bounds.is_safe (B.finish b))
+  check "start 1 makes i-1 safe" true (Bounds.check (B.finish b) = [])
 
 let test_bounds_2d () =
   let b = B.make "t2" in
@@ -443,7 +438,7 @@ let test_bounds_2d () =
   (* Row offset +1 overruns the last row. *)
   let x = B.load b "aa" [ B.ix ~off:1 j; B.ix i ] in
   B.store b "bb" [ B.ix j; B.ix i ] x;
-  check "2-d overrun detected" false (Bounds.is_safe (B.finish b))
+  check "2-d overrun detected" false (Bounds.check (B.finish b) = [])
 
 let test_bounds_whole_suite () =
   List.iter
