@@ -1345,7 +1345,8 @@ let loadtest_cmd =
   let seed_arg =
     Arg.(
       value & opt int 42
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Arrival-process seed.")
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:"Arrival-process seed of the simulation.")
   in
   let servers_arg =
     Arg.(
@@ -1395,9 +1396,10 @@ let loadtest_cmd =
       value & flag
       & info [ "expect-clean" ]
           ~doc:
-            "Gate: fail when any fault was injected during the run.  CI \
-             inverts this under a seeded plan to prove injected faults \
-             are reported, not swallowed.")
+            "Gate: fail when any fault was injected during the run (with \
+             $(b,--connect) or $(b,--port), as the daemon's stats op \
+             counts them).  CI inverts this under a seeded plan to prove \
+             injected faults are reported, not swallowed.")
   in
   let run machine features model queue deadline rate journal requests seed
       servers arrival connect port shutdown json p99 expect_degraded
@@ -1428,7 +1430,7 @@ let loadtest_cmd =
     match (connect, port) with
     | Some path, _ -> (
         match
-          Vserve.Loadtest.run_socket ~seed ~requests ~shutdown
+          Vserve.Loadtest.run_socket ~requests ~shutdown
             (Vserve.Server.Unix_path path)
         with
         | Ok r -> finish r
@@ -1437,7 +1439,7 @@ let loadtest_cmd =
             exit 1)
     | None, Some p -> (
         match
-          Vserve.Loadtest.run_socket ~seed ~requests ~shutdown
+          Vserve.Loadtest.run_socket ~requests ~shutdown
             (Vserve.Server.Tcp p)
         with
         | Ok r -> finish r

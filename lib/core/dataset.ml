@@ -182,9 +182,8 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
                bind-time bounds proof as a hard-failing cross-check.  The
                repeats reuse one environment via [Env.reset] and the
                digest is checked for stability across them. *)
-            let license =
-              Vanalysis.Cert.license (Vanalysis.Cert.certify ~vf k)
-            in
+            let a = Feature.analyze ~n ~vf k in
+            let license = Vanalysis.Cert.license (Lazy.force a.certificate) in
             let ex =
               Vmachine.Measure.execute ~license ~backend ~seed ~repeats ~n k
             in
@@ -202,14 +201,14 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
                 kernel = k;
                 vk;
                 vf;
-                raw = Feature.counts k;
-                norm_raw = Feature.counts (Vanalysis.Opt.normalize k);
-                rated = Feature.rated k;
-                extended = Feature.extended k;
-                absint = Feature.absint ~n ~vf k;
-                opt = Feature.opt ~n ~vf k;
-                deps = Feature.deps ~n ~vf k;
-                cert = Feature.cert ~n ~vf k;
+                raw = Lazy.force a.raw;
+                norm_raw = Lazy.force a.norm_raw;
+                rated = Lazy.force a.rated;
+                extended = Lazy.force a.extended;
+                absint = Lazy.force a.absint;
+                opt = Lazy.force a.opt;
+                deps = Lazy.force a.deps;
+                cert = Lazy.force a.cert;
                 vraw = Feature.vcounts vk;
                 exec_backend = Vexec.Backend.to_string backend;
                 exec_digest = ex.Vmachine.Measure.exec_digest;

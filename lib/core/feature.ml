@@ -182,13 +182,12 @@ let mem_classes =
 
 let extended_names = names @ [ "x_intensity"; "x_log_size"; "x_recurrence" ]
 
-(* Rated features plus three derived ones: arithmetic intensity (compute ops
-   per memory op), body size, and the strength of the tightest memory-carried
-   flow dependence (1/distance) - the latency chains the linear counts cannot
+(* The three derived columns [extended] appends to the rated features of a
+   body with counts [f]: arithmetic intensity (compute ops per memory op),
+   body size, and the strength of the tightest memory-carried flow
+   dependence (1/distance) - the latency chains the linear counts cannot
    see. *)
-let extended (k : Kernel.t) =
-  let f = counts k in
-  let r = rate f in
+let derived f (k : Kernel.t) =
   let mem =
     List.fold_left (fun acc c -> acc +. f.(index c)) 0.0 mem_classes
   in
@@ -205,38 +204,39 @@ let extended (k : Kernel.t) =
       0.0
       (Vdeps.Dependence.analyze k)
   in
-  Array.append r [| intensity; log_size; recurrence |]
+  [| intensity; log_size; recurrence |]
+
+let extended (k : Kernel.t) =
+  let f = counts k in
+  Array.append (rate f) (derived f k)
 
 (* --- absint features: columns only the abstract interpretation can fill --- *)
 
 let absint_names = extended_names @ [ "x_aligned_frac"; "x_const_trip" ]
 
-(* Extended features plus the provably-aligned fraction of the body's memory
-   accesses at [vf] and a provable-constant-trip-count flag.  Both are facts
-   about the *vectorized* execution a pure instruction count cannot see:
-   alignment decides which load/store path every block takes, and a constant
-   trip count means the epilogue's share never shrinks with n. *)
-let absint ~n ~vf (k : Kernel.t) =
-  let base = extended k in
-  let aligned = Vanalysis.Absint.aligned_fraction ~n ~vf k in
-  let const_trip = Vanalysis.Absint.const_trip_flag k in
-  Array.append base [| aligned; const_trip |]
+(* The provably-aligned fraction of the body's memory accesses at [vf] and a
+   provable-constant-trip-count flag.  Both are facts about the *vectorized*
+   execution a pure instruction count cannot see: alignment decides which
+   load/store path every block takes, and a constant trip count means the
+   epilogue's share never shrinks with n. *)
+let absint_columns ~n ~vf k =
+  [| Vanalysis.Absint.aligned_fraction ~n ~vf k;
+     Vanalysis.Absint.const_trip_flag k |]
 
 (* --- opt features: counts taken after the SSA normalization pipeline --- *)
 
 let opt_names = absint_names @ [ "x_norm_ratio"; "x_hoist_frac" ]
 
-(* Absint features of the *normalized* body (what the vectorizer actually
-   prices), plus two pipeline facts: how much of the source count survives
-   GVN/DCE/DSE/folding (source-level redundancy inflates raw counts without
-   costing cycles) and the loop-invariant fraction LICM pins to the
-   preheader prefix (work the loop does not pay per iteration). *)
-let opt ~n ~vf (k : Kernel.t) =
-  let nk = Vanalysis.Opt.normalize k in
-  let base = absint ~n ~vf nk in
-  let orig = total (counts k) in
-  let ratio = if orig = 0.0 then 1.0 else total (counts nk) /. orig in
-  Array.append base [| ratio; Vanalysis.Opt.hoisted_fraction nk |]
+(* The opt columns of the *normalized* body [nk] (what the vectorizer
+   actually prices), given the source and normalized counts: how much of
+   the source count survives GVN/DCE/DSE/folding (source-level redundancy
+   inflates raw counts without costing cycles) and the loop-invariant
+   fraction LICM pins to the preheader prefix (work the loop does not pay
+   per iteration). *)
+let opt_columns ~raw ~norm_raw nk =
+  let orig = total raw in
+  let ratio = if orig = 0.0 then 1.0 else total norm_raw /. orig in
+  [| ratio; Vanalysis.Opt.hoisted_fraction nk |]
 
 let pp fmt f =
   List.iteri
@@ -251,16 +251,14 @@ let deps_names =
   @ [ "x_min_carried"; "x_carried_outer"; "x_carried_inner";
       "x_idiom_reduction"; "x_idiom_recurrence" ]
 
-(* Opt features plus what the nest-wide dependence graph knows: the
-   tightest loop-carried distance anywhere in the nest (1/distance, the
-   serialization pressure a legal-but-narrow width pays), carried-edge
-   counts split outer vs innermost (an outer-carried dependence is free for
-   the vectorizer, an inner-carried one is exactly what caps the width),
-   and the recognized idiom flags (a reduction vectorizes through a
-   horizontal combine with its own cost shape; a first-order recurrence
-   serializes). *)
-let deps ~n ~vf (k : Kernel.t) =
-  let base = opt ~n ~vf k in
+(* What the nest-wide dependence graph knows: the tightest loop-carried
+   distance anywhere in the nest (1/distance, the serialization pressure a
+   legal-but-narrow width pays), carried-edge counts split outer vs
+   innermost (an outer-carried dependence is free for the vectorizer, an
+   inner-carried one is exactly what caps the width), and the recognized
+   idiom flags (a reduction vectorizes through a horizontal combine with
+   its own cost shape; a first-order recurrence serializes). *)
+let deps_columns (k : Kernel.t) =
   let g = Vdeps.Depgraph.build k in
   let per_depth = Vdeps.Depgraph.carried_counts g in
   let depth = Array.length per_depth in
@@ -273,28 +271,67 @@ let deps ~n ~vf (k : Kernel.t) =
     | None -> 0.0
   in
   let idioms = Vdeps.Idiom.recognize k in
-  Array.append base
-    [|
-      min_carried;
-      float_of_int outer;
-      float_of_int inner;
-      (if Vdeps.Idiom.has_reduction idioms then 1.0 else 0.0);
-      (if Vdeps.Idiom.has_recurrence idioms then 1.0 else 0.0);
-    |]
+  [|
+    min_carried;
+    float_of_int outer;
+    float_of_int inner;
+    (if Vdeps.Idiom.has_reduction idioms then 1.0 else 0.0);
+    (if Vdeps.Idiom.has_recurrence idioms then 1.0 else 0.0);
+  |]
 
 let cert_names = deps_names @ [ "x_cert_safe_frac"; "x_cert_guard_free" ]
 
-(* Deps features plus what the static safety certificate knows: the
-   certified-safe fraction of the body's memory accesses and whether the
-   whole kernel is licensed guard-free.  Both proxy for how much bounds
-   bookkeeping a vectorized loop would carry at run time — a guard-free
-   kernel vectorizes without per-block range checks, a low certified
-   fraction forecasts guarded (slower) vector bodies. *)
-let cert ~n ~vf (k : Kernel.t) =
-  let base = deps ~n ~vf k in
-  let c = Vanalysis.Cert.certify ~vf k in
-  Array.append base
-    [|
-      Vanalysis.Cert.safe_frac c;
-      (if c.Vanalysis.Cert.ct_guard_free then 1.0 else 0.0);
-    |]
+(* What the static safety certificate knows: the certified-safe fraction of
+   the body's memory accesses and whether the whole kernel is licensed
+   guard-free.  Both proxy for how much bounds bookkeeping a vectorized
+   loop would carry at run time — a guard-free kernel vectorizes without
+   per-block range checks, a low certified fraction forecasts guarded
+   (slower) vector bodies. *)
+let cert_columns (c : Vanalysis.Cert.t) =
+  [| Vanalysis.Cert.safe_frac c;
+     (if c.Vanalysis.Cert.ct_guard_free then 1.0 else 0.0) |]
+
+(* --- one kernel's analysis --------------------------------------------------
+
+   The feature kinds are two prefix chains: rated ⊂ extended ⊂ absint over
+   the source body, and opt ⊂ deps ⊂ cert, where opt starts from absint over
+   the normalized body.  Each field below forces only its prefix, once, so
+   a sample build normalizes once and builds the dependence graph and the
+   certificate once.  Deps and cert append columns of the *source* body. *)
+
+type analysis = {
+  raw : float array Lazy.t;
+  norm_raw : float array Lazy.t;
+  rated : float array Lazy.t;
+  extended : float array Lazy.t;
+  absint : float array Lazy.t;
+  opt : float array Lazy.t;
+  deps : float array Lazy.t;
+  cert : float array Lazy.t;
+  certificate : Vanalysis.Cert.t Lazy.t;
+}
+
+let analyze ~n ~vf (k : Kernel.t) =
+  let force = Lazy.force in
+  let raw = lazy (counts k) in
+  let rated = lazy (rate (force raw)) in
+  let extended = lazy (Array.append (force rated) (derived (force raw) k)) in
+  let absint = lazy (Array.append (force extended) (absint_columns ~n ~vf k)) in
+  let norm = lazy (Vanalysis.Opt.normalize k) in
+  let norm_raw = lazy (counts (force norm)) in
+  let opt =
+    lazy
+      (let nk = force norm and nraw = force norm_raw in
+       Array.concat
+         [ rate nraw; derived nraw nk; absint_columns ~n ~vf nk;
+           opt_columns ~raw:(force raw) ~norm_raw:nraw nk ])
+  in
+  let deps = lazy (Array.append (force opt) (deps_columns k)) in
+  let certificate = lazy (Vanalysis.Cert.certify ~vf k) in
+  let cert = lazy (Array.append (force deps) (cert_columns (force certificate))) in
+  { raw; norm_raw; rated; extended; absint; opt; deps; cert; certificate }
+
+let absint ~n ~vf k = Lazy.force (analyze ~n ~vf k).absint
+let opt ~n ~vf k = Lazy.force (analyze ~n ~vf k).opt
+let deps ~n ~vf k = Lazy.force (analyze ~n ~vf k).deps
+let cert ~n ~vf k = Lazy.force (analyze ~n ~vf k).cert

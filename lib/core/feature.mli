@@ -82,3 +82,24 @@ val cert_names : string list
 
 val cert : n:int -> vf:int -> Vir.Kernel.t -> float array
 val pp : Format.formatter -> float array -> unit
+
+(** One kernel's features, each computed at most once.  The kinds form two
+    prefix chains, [rated ⊂ extended ⊂ absint] over the source body and
+    [opt ⊂ deps ⊂ cert], where [opt] starts from [absint] over the
+    [Vanalysis.Opt]-normalized body.  Forcing a field forces only its
+    prefix, and its value equals the standalone function's: [(analyze ~n
+    ~vf k).cert] is [cert ~n ~vf k].  The fields are plain [Lazy.t]: force
+    them on the domain that called {!analyze}. *)
+type analysis = {
+  raw : float array Lazy.t;  (** [counts] of the source body *)
+  norm_raw : float array Lazy.t;  (** [counts] of the normalized body *)
+  rated : float array Lazy.t;
+  extended : float array Lazy.t;
+  absint : float array Lazy.t;
+  opt : float array Lazy.t;
+  deps : float array Lazy.t;
+  cert : float array Lazy.t;
+  certificate : Vanalysis.Cert.t Lazy.t;  (** [Vanalysis.Cert.certify ~vf] *)
+}
+
+val analyze : n:int -> vf:int -> Vir.Kernel.t -> analysis

@@ -117,6 +117,21 @@ type t = {
   journal : Checkpoint.Journal.t option;
   mutable resumed : bool;
   mutable startup_error : string option;
+  memo : memo;
+}
+
+(* The analysis memo: what a request computes about its kernel, short of
+   the prediction, keyed by the registry kernel's name and the vf.  A name
+   identifies its kernel (requests resolve only through
+   [Tsvc.Registry.find], whose entries are immutable), and the feature kind
+   and n are fixed per engine.  Lint keys carry [Some vf] for a predict's
+   diagnostics and [None] for the lint op's default VFs. *)
+and memo = {
+  vectors : (string * int, float array) Hashtbl.t;
+  lints : (string * int option, int * int) Hashtbl.t;  (* errors, diags *)
+  certs : (string * int, float * bool) Hashtbl.t;  (* safe_frac, guard_free *)
+  baselines : (string * int, float option) Hashtbl.t;
+  memo_lock : Mutex.t;
 }
 
 let journal_key = "serve-stats"
@@ -215,6 +230,10 @@ let create cfg =
       journal;
       resumed;
       startup_error = None;
+      memo =
+        { vectors = Hashtbl.create 256; lints = Hashtbl.create 256;
+          certs = Hashtbl.create 256; baselines = Hashtbl.create 256;
+          memo_lock = Mutex.create () };
     }
   in
   (match cfg.model_path with
@@ -278,20 +297,60 @@ let resolve_kernel name =
   | Some e -> Ok e.Tsvc.Registry.kernel
   | None -> Error name
 
-let extract_features kind ~n ~vf kernel =
-  match (kind : Linmodel.feature_kind) with
-  | Raw -> Feature.counts kernel
-  | Rated -> Feature.rated kernel
-  | Extended -> Feature.extended kernel
-  | Absint -> Feature.absint ~n ~vf kernel
-  | Opt -> Feature.opt ~n ~vf kernel
-  | Deps -> Feature.deps ~n ~vf kernel
-  | Cert -> Feature.cert ~n ~vf kernel
+(* --- the analysis memo -----------------------------------------------------
 
-let baseline_speedup ~vf kernel =
-  match Dataset.apply_transform Dataset.Llv ~vf kernel with
-  | Some vk -> Some (Baseline.predicted_speedup vk)
-  | None -> None
+   Lookups run inside the stages' work functions, below the fault draws,
+   so drops, slowness, retries and breakers behave exactly as without the
+   memo.  The value is computed outside the lock and only a finished one
+   is published: two domains missing one key both compute it and publish
+   equal values.  A computation that raises publishes nothing, so it
+   keeps failing its stage. *)
+
+let memoized t tbl key compute =
+  let m = t.memo in
+  Mutex.lock m.memo_lock;
+  let hit = Hashtbl.find_opt tbl key in
+  Mutex.unlock m.memo_lock;
+  match hit with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Mutex.lock m.memo_lock;
+      Hashtbl.replace tbl key v;
+      Mutex.unlock m.memo_lock;
+      v
+
+let feature_vector t ~vf (k : Vir.Kernel.t) =
+  memoized t t.memo.vectors (k.name, vf) (fun () ->
+      let a = Feature.analyze ~n:t.cfg.n ~vf k in
+      Lazy.force
+        (match t.cfg.features with
+        | Raw -> a.raw
+        | Rated -> a.rated
+        | Extended -> a.extended
+        | Absint -> a.absint
+        | Opt -> a.opt
+        | Deps -> a.deps
+        | Cert -> a.cert))
+
+let lint_counts t ?vf (k : Vir.Kernel.t) =
+  memoized t t.memo.lints (k.name, vf) (fun () ->
+      let report =
+        Vanalysis.Driver.lint_kernel ?vfs:(Option.map (fun v -> [ v ]) vf) k
+      in
+      ( Vanalysis.Driver.error_count report,
+        List.length (Vanalysis.Driver.report_diags report) ))
+
+let cert_summary t ~vf (k : Vir.Kernel.t) =
+  memoized t t.memo.certs (k.name, vf) (fun () ->
+      let c = Vanalysis.Cert.certify ~vf k in
+      (Vanalysis.Cert.safe_frac c, c.Vanalysis.Cert.ct_guard_free))
+
+let baseline_speedup t ~vf (k : Vir.Kernel.t) =
+  memoized t t.memo.baselines (k.name, vf) (fun () ->
+      match Dataset.apply_transform Dataset.Llv ~vf k with
+      | Some vk -> Some (Baseline.predicted_speedup vk)
+      | None -> None)
 
 (* The prediction decision: the fitted model when one is loaded, its
    stage breakers are closed and it produces a finite value; the static
@@ -305,7 +364,7 @@ let decide t ~tick ~rq_id ~vf ~budget ~elapsed kernel =
      answer, not a degradation: it is reported through the [vectorized]
      payload field rather than a degraded tag. *)
   let baseline tags =
-    match baseline_speedup ~vf kernel with
+    match baseline_speedup t ~vf kernel with
     | Some s -> Ok (Float.max 0.0 s, loaded, tags, true)
     | None -> Ok (1.0, loaded, tags, false)
   in
@@ -320,8 +379,7 @@ let decide t ~tick ~rq_id ~vf ~budget ~elapsed kernel =
       else
         let feats =
           run_stage ~breaker:t.extract_breaker ~tick ~rq_id ~stage:"extract"
-            ~cost:extract_cost ~elapsed (fun () ->
-              extract_features t.cfg.features ~n:t.cfg.n ~vf kernel)
+            ~cost:extract_cost ~elapsed (fun () -> feature_vector t ~vf kernel)
         in
         match feats with
         | Error e -> Error e
@@ -343,9 +401,7 @@ let decide t ~tick ~rq_id ~vf ~budget ~elapsed kernel =
             | Error `Dropped -> Error `Dropped
             | Error (`Failed _) -> baseline [ "baseline-model" ])
 
-let diag_fields report =
-  let errors = Vanalysis.Driver.error_count report in
-  let diags = List.length (Vanalysis.Driver.report_diags report) in
+let diag_fields (errors, diags) =
   [ ("lint_errors", Vjson.Num (float_of_int errors));
     ("lint_diags", Vjson.Num (float_of_int diags)) ]
 
@@ -502,13 +558,13 @@ let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
               let r =
                 run_stage ~breaker:t.analyze_breaker ~tick ~rq_id:id
                   ~stage:"analyze" ~cost:analyze_cost ~elapsed (fun () ->
-                    Vanalysis.Driver.lint_kernel k)
+                    lint_counts t k)
               in
               match r with
-              | Ok report ->
+              | Ok counts ->
                   finish O_answered ~partial:false
                     (Proto.ok ~id
-                       (("kernel", Vjson.Str kernel) :: diag_fields report))
+                       (("kernel", Vjson.Str kernel) :: diag_fields counts))
               | Error `Dropped ->
                   reject O_dropped Proto.E_dropped "lint work lost on every attempt"
               | Error (`Failed m) -> reject O_internal Proto.E_internal m))
@@ -524,16 +580,16 @@ let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
               let r =
                 run_stage ~breaker:t.analyze_breaker ~tick ~rq_id:id
                   ~stage:"certify" ~cost:certify_cost ~elapsed (fun () ->
-                    Vanalysis.Cert.certify ~vf k)
+                    cert_summary t ~vf k)
               in
               match r with
-              | Ok cert ->
+              | Ok (safe_frac, guard_free) ->
                   finish O_answered ~partial:false
                     (Proto.ok ~id
                        [ ("kernel", Vjson.Str kernel);
                          ("vf", Vjson.Num (float_of_int vf));
-                         ("safe_frac", Vjson.Num (Vanalysis.Cert.safe_frac cert));
-                         ("guard_free", Vjson.Bool cert.Vanalysis.Cert.ct_guard_free) ])
+                         ("safe_frac", Vjson.Num safe_frac);
+                         ("guard_free", Vjson.Bool guard_free) ])
               | Error `Dropped ->
                   reject O_dropped Proto.E_dropped
                     "certify work lost on every attempt"
@@ -581,14 +637,13 @@ let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
                           let r =
                             run_stage ~breaker:t.analyze_breaker ~tick
                               ~rq_id:id ~stage:"analyze" ~cost:analyze_cost
-                              ~elapsed (fun () ->
-                                Vanalysis.Driver.lint_kernel ~vfs:[ vf ] k)
+                              ~elapsed (fun () -> lint_counts t ~vf k)
                           in
                           (match r with
-                          | Ok report when not (over ()) ->
+                          | Ok counts when not (over ()) ->
                               finish O_answered ~partial:false
                                 (Proto.ok ~id ~degraded:tags
-                                   (base @ diag_fields report))
+                                   (base @ diag_fields counts))
                           | Ok _ ->
                               (* The lint finished but blew the budget:
                                  the decision still counts, diagnostics

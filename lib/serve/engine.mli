@@ -9,7 +9,20 @@
     diagnostics — rather than late or lost.  Admission control (queue
     bound, per-client token buckets), per-stage circuit breakers and
     injected [serve.{drop,slow,reject}] faults all answer explicitly:
-    every request gets exactly one response. *)
+    every request gets exactly one response.
+
+    Each engine memoizes what a request computes about its kernel, short
+    of the prediction: the served feature vector, the lint counts at the
+    request's vf and at the default VFs, the certificate summary and the
+    baseline speedup, keyed by (registry kernel name, vf).  Lookups run
+    inside the stages, after their fault draws, so drops, slowness,
+    retries, breakers and the virtual stage costs are exactly those of an
+    unmemoized engine; an analysis that raises is not memoized.
+    Predictions are not memoized (the model can hot-reload).  The wire
+    bounds the memo: 151 registry kernels × vf 1–64 keys per table, plus
+    151 default-VF lint keys.  Filled at every key with a fitted [cert]
+    model it measured 5.2 MB, and a baseline-only engine's 1.8 MB, lint
+    table included; no eviction is needed. *)
 
 type config = {
   features : Costmodel.Linmodel.feature_kind;  (** served feature schema *)

@@ -266,9 +266,8 @@ let connect = function
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       fd
 
-let run_socket ?(seed = 42) ?(requests = 200) ?(timeout_s = 30.0)
-    ?(shutdown = false) transport =
-  ignore seed;
+let run_socket ?(requests = 200) ?(timeout_s = 30.0) ?(shutdown = false)
+    transport =
   match connect transport with
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "cannot connect to %s: %s"
@@ -278,117 +277,148 @@ let run_socket ?(seed = 42) ?(requests = 200) ?(timeout_s = 30.0)
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           Unix.set_nonblock fd;
+          let give_up = Unix.gettimeofday () +. timeout_s in
+          let inbuf = Buffer.create 4096 in
+          let closed = ref false in
+          (* Write [out], then pass response lines to [on_line] until
+             [expect] of them have arrived, the daemon has closed the
+             connection or [give_up] has passed.  [on_write] runs after
+             every successful write. *)
+          let transfer ?(on_write = ignore) out ~expect on_line =
+            let out = ref out and seen = ref 0 in
+            let rec pump () =
+              if !seen >= expect || !closed || Unix.gettimeofday () > give_up
+              then ()
+              else begin
+                let want_write = !out <> "" in
+                match
+                  Unix.select [ fd ] (if want_write then [ fd ] else []) [] 0.2
+                with
+                | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
+                | rs, ws, _ ->
+                    if ws <> [] && !out <> "" then begin
+                      match
+                        Unix.single_write_substring fd !out 0
+                          (min 4096 (String.length !out))
+                      with
+                      | k ->
+                          out := String.sub !out k (String.length !out - k);
+                          on_write ()
+                      | exception
+                          Unix.Unix_error
+                            ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+                    end;
+                    if rs <> [] then begin
+                      let buf = Bytes.create 4096 in
+                      match Unix.read fd buf 0 4096 with
+                      | 0 -> closed := true
+                      | k ->
+                          Buffer.add_subbytes inbuf buf 0 k;
+                          let data = Buffer.contents inbuf in
+                          Buffer.clear inbuf;
+                          let rec go = function
+                            | [] -> ()
+                            | [ tail ] -> Buffer.add_string inbuf tail
+                            | l :: ls ->
+                                if l <> "" then begin
+                                  incr seen;
+                                  on_line l
+                                end;
+                                go ls
+                          in
+                          go (String.split_on_char '\n' data)
+                      | exception
+                          Unix.Unix_error
+                            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+                        -> ()
+                    end;
+                    pump ()
+              end
+            in
+            pump ()
+          in
+          (* One admin op, alone on the connection: nothing of the stream
+             runs beside it. *)
+          let ask id op =
+            let answer = ref None in
+            transfer
+              (Proto.request_to_line
+                 { Proto.rq_id = id; rq_client = "loadtest"; rq_op = op }
+              ^ "\n")
+              ~expect:1
+              (fun line ->
+                answer := Result.to_option (Proto.response_of_line line));
+            !answer
+          in
+          (* The daemon's injection counters, from its stats answer. *)
+          let injected id =
+            match ask id Proto.Stats with
+            | Some { Proto.rs_result = Ok fields; _ } -> (
+                match List.assoc_opt "injected" fields with
+                | Some (Vjson.Obj counts) ->
+                    Some
+                      (List.filter_map
+                         (fun (k, v) ->
+                           match v with
+                           | Vjson.Num x -> Some (k, int_of_float x)
+                           | _ -> None)
+                         counts)
+                | _ -> None)
+            | _ -> None
+          in
+          let before = injected "stats-before" in
           let tally = tally_zero () in
           let sent_at : (string, float) Hashtbl.t = Hashtbl.create 64 in
-          let pending = Buffer.create 4096 in
           let reqs = List.init requests request_for in
-          List.iter
-            (fun r ->
-              Buffer.add_string pending (Proto.request_to_line r);
-              Buffer.add_char pending '\n')
-            reqs;
-          (* The shutdown op is sent only after every data response has
-             come back — interleaving it with the stream could stop the
-             daemon with requests still in flight. *)
-          let shutdown_queued = ref false in
-          let expected = requests + if shutdown then 1 else 0 in
+          let stream =
+            String.concat ""
+              (List.map (fun r -> Proto.request_to_line r ^ "\n") reqs)
+          in
           let t0 = Unix.gettimeofday () in
-          let give_up = t0 +. timeout_s in
-          let inbuf = Buffer.create 4096 in
-          let seen = ref 0 in
-          let out = ref (Buffer.contents pending) in
           let first_sent = ref nan in
           let last_answer = ref t0 in
-          let handle_line line =
-            if line <> "" then begin
-              incr seen;
+          (* Conservative: stamp send time at first write for every id not
+             yet stamped — latencies then include local queueing, which
+             only overestimates. *)
+          let on_write () =
+            let now = Unix.gettimeofday () in
+            if Float.is_nan !first_sent then first_sent := now;
+            List.iter
+              (fun r ->
+                if not (Hashtbl.mem sent_at r.Proto.rq_id) then
+                  Hashtbl.replace sent_at r.Proto.rq_id now)
+              reqs
+          in
+          transfer ~on_write stream ~expect:requests (fun line ->
               let now = Unix.gettimeofday () in
               last_answer := now;
               match Proto.response_of_line line with
               | Error _ -> tally.rejected <- tally.rejected + 1
-              | Ok resp when resp.Proto.rs_id = "shutdown" ->
-                  () (* the shutdown acknowledgement is bookkeeping, not load *)
               | Ok resp ->
                   let sojourn =
                     match Hashtbl.find_opt sent_at resp.Proto.rs_id with
                     | Some t -> now -. t
                     | None -> 0.0
                   in
-                  tally_response tally resp ~sojourn
-            end
-          in
-          let rec pump () =
-            if shutdown && (not !shutdown_queued) && !seen >= requests then begin
-              shutdown_queued := true;
-              out :=
-                !out
-                ^ Proto.request_to_line
-                    { Proto.rq_id = "shutdown"; rq_client = "loadtest";
-                      rq_op = Proto.Shutdown }
-                ^ "\n"
-            end;
-            if !seen >= expected || Unix.gettimeofday () > give_up then ()
-            else begin
-              let want_write = !out <> "" in
-              match
-                Unix.select [ fd ] (if want_write then [ fd ] else []) [] 0.2
-              with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-              | rs, ws, _ ->
-                  if ws <> [] && !out <> "" then begin
-                    (match
-                       Unix.single_write_substring fd !out 0
-                         (min 4096 (String.length !out))
-                     with
-                    | k ->
-                        if Float.is_nan !first_sent then
-                          first_sent := Unix.gettimeofday ();
-                        out := String.sub !out k (String.length !out - k)
-                    | exception
-                        Unix.Unix_error
-                          ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-                    (* Conservative: stamp send time at first write for
-                       every id not yet stamped — latencies then include
-                       local queueing, which only overestimates. *)
-                    List.iter
-                      (fun r ->
-                        if not (Hashtbl.mem sent_at r.Proto.rq_id) then
-                          Hashtbl.replace sent_at r.Proto.rq_id
-                            (Unix.gettimeofday ()))
-                      reqs
-                  end;
-                  if rs <> [] then begin
-                    let buf = Bytes.create 4096 in
-                    match Unix.read fd buf 0 4096 with
-                    | 0 -> seen := expected (* server closed *)
-                    | k ->
-                        Buffer.add_subbytes inbuf buf 0 k;
-                        let data = Buffer.contents inbuf in
-                        Buffer.clear inbuf;
-                        let parts = String.split_on_char '\n' data in
-                        let rec go = function
-                          | [] -> ()
-                          | [ tail ] -> Buffer.add_string inbuf tail
-                          | l :: ls -> handle_line l; go ls
-                        in
-                        go parts
-                    | exception
-                        Unix.Unix_error
-                          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-                      -> ()
-                  end;
-                  pump ()
-            end
-          in
-          pump ();
+                  tally_response tally resp ~sojourn);
+          (* The after-stats and the shutdown go only once every data
+             response is back: interleaved with the stream, the stats would
+             miss injections still to come and the shutdown could stop the
+             daemon with requests in flight. *)
+          let after = injected "stats-after" in
+          if shutdown then ignore (ask "shutdown" Proto.Shutdown);
           let makespan =
             if Float.is_nan !first_sent then 0.0 else !last_answer -. !first_sent
           in
           let sent = requests in
-          let r = finish_result ~sent ~makespan ~max_queue:0 ~injected:[] tally in
-          let accounted = r.lt_answered + r.lt_rejected in
-          if accounted < sent then
-            Error
-              (Printf.sprintf "%d of %d requests lost (no response within %gs)"
-                 (sent - accounted) sent timeout_s)
-          else Ok r)
+          let accounted = tally.answered + tally.rejected in
+          match (before, after) with
+          | _ when accounted < sent ->
+              Error
+                (Printf.sprintf "%d of %d requests lost (no response within %gs)"
+                   (sent - accounted) sent timeout_s)
+          | Some before, Some after ->
+              Ok
+                (finish_result ~sent ~makespan ~max_queue:0
+                   ~injected:(injected_delta before after) tally)
+          | _ -> Error "the daemon did not answer a stats op")

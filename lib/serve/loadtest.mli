@@ -55,9 +55,12 @@ val gate :
 
 (** Socket client mode: send [requests] requests to a daemon, read until
     every id is answered or [timeout_s] expires, then return the tally
-    (latencies are wall-clock; determinism is not promised).  [shutdown]
-    sends a shutdown op after the stream.  [Error] on connection failure
-    or lost (unanswered) requests. *)
+    (latencies are wall-clock; determinism is not promised).  The
+    daemon's [stats] op, asked alone before the stream and after its last
+    answer, supplies [lt_injected]: the [serve.*] / [pool.*] injections
+    the daemon counted in between.  [shutdown] sends a shutdown op last.
+    [Error] on connection failure, lost (unanswered) requests or an
+    unanswered stats op. *)
 val run_socket :
-  ?seed:int -> ?requests:int -> ?timeout_s:float -> ?shutdown:bool ->
+  ?requests:int -> ?timeout_s:float -> ?shutdown:bool ->
   Server.transport -> (result, string) Stdlib.result

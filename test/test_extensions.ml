@@ -94,6 +94,53 @@ let test_extended_intensity_orders_kernels () =
   let intensity name = (Feature.extended (kern name)).(Feature.dim) in
   check "vbor is compute-heavy" true (intensity "vbor" > intensity "va")
 
+(* --- the one-pass feature product -------------------------------------------- *)
+
+(* [short] is a proper prefix of [long], bit for bit. *)
+let is_prefix short long =
+  let n = Array.length short in
+  n < Array.length long && compare short (Array.sub long 0 n) = 0
+
+let test_feature_product_chains () =
+  let n = Tsvc.Registry.default_n in
+  List.iter
+    (fun (m : D.t) ->
+      List.iter
+        (fun (e : Tsvc.Registry.entry) ->
+          let k = e.kernel in
+          let vf = D.vf_for_kernel m k in
+          if vf >= 2 then begin
+            let a = Feature.analyze ~n ~vf k in
+            let f = Lazy.force in
+            let tag what =
+              Printf.sprintf "%s on %s at vf %d: %s" k.Kernel.name m.D.name vf
+                what
+            in
+            List.iter
+              (fun (what, v, names) ->
+                check_int (tag what) (List.length names) (Array.length v))
+              [ ("raw", f a.raw, Feature.names);
+                ("norm_raw", f a.norm_raw, Feature.names);
+                ("rated", f a.rated, Feature.names);
+                ("extended", f a.extended, Feature.extended_names);
+                ("absint", f a.absint, Feature.absint_names);
+                ("opt", f a.opt, Feature.opt_names);
+                ("deps", f a.deps, Feature.deps_names);
+                ("cert", f a.cert, Feature.cert_names) ];
+            List.iter
+              (fun (what, short, long) -> check (tag what) true (is_prefix short long))
+              [ ("rated prefixes extended", f a.rated, f a.extended);
+                ("extended prefixes absint", f a.extended, f a.absint);
+                ("opt prefixes deps", f a.opt, f a.deps);
+                ("deps prefixes cert", f a.deps, f a.cert) ];
+            (* The fields no standalone function derives from the product. *)
+            check (tag "raw is counts") true (compare (f a.raw) (Feature.counts k) = 0);
+            check (tag "extended is Feature.extended") true
+              (compare (f a.extended) (Feature.extended k) = 0)
+          end)
+        (Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries))
+    M.all
+
 (* --- typed variants ---------------------------------------------------------- *)
 
 let test_typed_extension_size () =
@@ -183,6 +230,7 @@ let tests =
     Alcotest.test_case "extended values" `Quick test_extended_values;
     Alcotest.test_case "extended recurrence" `Quick test_extended_recurrence_feature;
     Alcotest.test_case "extended intensity" `Quick test_extended_intensity_orders_kernels;
+    Alcotest.test_case "feature product chains" `Quick test_feature_product_chains;
     Alcotest.test_case "typed size" `Quick test_typed_extension_size;
     Alcotest.test_case "typed valid" `Quick test_typed_all_valid;
     Alcotest.test_case "typed disjoint" `Quick test_typed_names_disjoint_from_base;

@@ -375,6 +375,118 @@ let test_breaker_degrades_to_baseline () =
         + s.rejected_bad + s.deadline_errors + s.dropped + s.internal_errors));
   Sys.remove path
 
+(* --- the analysis memo ------------------------------------------------------ *)
+
+(* A speedup model fitted on the registry at the engine's feature kind. *)
+let fitted_model () =
+  let cfg = base_config in
+  let samples =
+    Dataset.build ~machine:cfg.Vserve.Engine.machine ~transform:Dataset.Llv
+      ~n:cfg.Vserve.Engine.n Tsvc.Registry.all
+  in
+  let path = tmp_file ".model" in
+  Linmodel.save
+    (Linmodel.fit ~method_:Linmodel.Nnls ~features:cfg.Vserve.Engine.features
+       ~target:Linmodel.Speedup samples)
+    path;
+  path
+
+(* Every registry kernel asked to predict, lint and certify, in turn; the
+   second pass answers from the memo and must print the first pass's
+   lines. *)
+let test_memo_warm_equals_cold () =
+  let path = fitted_model () in
+  let engine =
+    Vserve.Engine.create { base_config with model_path = Some path }
+  in
+  let pass () =
+    List.concat_map
+      (fun (e : Tsvc.Registry.entry) ->
+        let kernel = e.kernel.Vir.Kernel.name in
+        List.map
+          (fun (op, rq_op) ->
+            let resp, _ =
+              Vserve.Engine.handle engine
+                { Vserve.Proto.rq_id = op ^ "-" ^ kernel; rq_client = "tests"; rq_op }
+            in
+            check_bool (op ^ " " ^ kernel ^ " answered undegraded") true
+              (code_of resp = None && resp.Vserve.Proto.rs_degraded = []);
+            Vserve.Proto.response_to_line resp)
+          [ ("predict", Vserve.Proto.Predict { kernel; machine = None; vf = None });
+            ("lint", Vserve.Proto.Lint { kernel });
+            ("certify", Vserve.Proto.Certify { kernel; vf = None }) ])
+      Tsvc.Registry.all
+  in
+  let cold = pass () in
+  let warm = pass () in
+  Alcotest.(check (list string)) "warm lines equal cold lines" cold warm;
+  check_bool "the fitted model answers" true
+    (payload_str (fst (Vserve.Engine.handle engine (predict some_kernel))) "origin"
+    = Some path);
+  Sys.remove path
+
+(* Memo hits sit below the fault draws: a warm key still drops, trips its
+   breaker and runs late. *)
+let test_memo_faults_on_warm_keys () =
+  let path = write_model () in
+  let engine =
+    Vserve.Engine.create { base_config with model_path = Some path }
+  in
+  let warm, _ = Vserve.Engine.handle engine (predict ~id:"warm" "s000") in
+  check_bool "warm-up answered undegraded" true
+    (code_of warm = None && warm.Vserve.Proto.rs_degraded = []);
+  with_plan "seed=3;serve.drop=1" (fun () ->
+      let resps =
+        List.init 3 (fun i ->
+            fst
+              (Vserve.Engine.handle engine
+                 (predict ~id:(Printf.sprintf "d%d" i) "s000")))
+      in
+      check_bool "warm predict dropped" true
+        (code_of (List.hd resps) = Some Vserve.Proto.E_dropped);
+      (* Two dropped predicts are six lost extract attempts, past the
+         threshold of five: the third predict finds the breaker open. *)
+      let third = List.nth resps 2 in
+      check_bool "open extract breaker serves the baseline" true
+        (code_of third = None
+        && List.mem "baseline-model" third.Vserve.Proto.rs_degraded));
+  let plain = Vserve.Engine.create base_config in
+  ignore (Vserve.Engine.handle plain (predict ~id:"warm" "s000"));
+  with_plan "seed=5;serve.slow=1@0.05" (fun () ->
+      let resp, _ = Vserve.Engine.handle plain (predict ~id:"slow" "s000") in
+      check_bool "slow warm predict is a partial" true
+        (code_of resp = None
+        && List.mem "no-diagnostics" resp.Vserve.Proto.rs_degraded));
+  Sys.remove path
+
+(* One unseen key asked from several domains at once: every domain
+   computes or finds the same answer, and none fails. *)
+let test_memo_concurrent_cold_key () =
+  let path = write_model () in
+  let engine =
+    Vserve.Engine.create { base_config with model_path = Some path }
+  in
+  let line = Vserve.Proto.request_to_line (predict ~id:"same" "s311") in
+  let pool = Vpar.Pool.create ~size:2 in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> Vpar.Pool.shutdown pool)
+      (fun () ->
+        Vpar.Pool.parallel_map ~pool ~chunk:1
+          (fun _ -> fst (Vserve.Engine.handle_line engine ~client:"tests" line))
+          (List.init 64 Fun.id))
+  in
+  check_int "64 answers" 64 (List.length lines);
+  check_int "all equal" 1 (List.length (List.sort_uniq String.compare lines));
+  (match Vserve.Proto.response_of_line (List.hd lines) with
+  | Ok resp ->
+      check_bool "answered by the model" true
+        (code_of resp = None && resp.Vserve.Proto.rs_degraded = [])
+  | Error m -> Alcotest.failf "unparsable answer: %s" m);
+  check_int "no internal errors" 0
+    (Vserve.Engine.stats engine).Vserve.Engine.internal_errors;
+  Sys.remove path
+
 (* --- deadlines ------------------------------------------------------------- *)
 
 let test_deadline_partial_and_reject () =
@@ -685,13 +797,14 @@ let test_sim_chaos_accounted () =
 
 (* --- socket end-to-end ------------------------------------------------------ *)
 
-let test_socket_end_to_end () =
+(* [engine] served by an in-process daemon on a fresh Unix socket, from
+   its own domain; [f] must end with a shutdown op. *)
+let with_daemon engine f =
   let dir = Filename.temp_file "vserve_sock" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let sock = Filename.concat dir "s" in
   let transport = Vserve.Server.Unix_path sock in
-  let engine = Vserve.Engine.create base_config in
   let server = Domain.spawn (fun () -> Vserve.Server.run ~engine transport) in
   let rec wait_ready n =
     if Sys.file_exists sock then ()
@@ -699,6 +812,13 @@ let test_socket_end_to_end () =
     else (Unix.sleepf 0.05; wait_ready (n - 1))
   in
   wait_ready 100;
+  f sock transport;
+  Domain.join server;
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
+let test_socket_end_to_end () =
+  let engine = Vserve.Engine.create base_config in
+  with_daemon engine @@ fun sock transport ->
   (* An oversized line is answered with a typed rejection, not a hang. *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX sock);
@@ -722,13 +842,25 @@ let test_socket_end_to_end () =
       check_int "all accounted over the wire" r.Vserve.Loadtest.lt_sent
         (r.Vserve.Loadtest.lt_answered + r.Vserve.Loadtest.lt_rejected)
   | Error m -> Alcotest.failf "socket loadtest failed: %s" m);
-  Domain.join server;
   let s = Vserve.Engine.stats engine in
   check_bool "daemon accounting closed" true
     (s.Vserve.Engine.received
     = s.Vserve.Engine.answered + s.rejected_overload + s.rejected_rate
-      + s.rejected_bad + s.deadline_errors + s.dropped + s.internal_errors);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+      + s.rejected_bad + s.deadline_errors + s.dropped + s.internal_errors)
+
+(* The socket client reports the daemon's injections, read through its
+   stats op, so [--expect-clean] can fail over a socket too. *)
+let test_socket_reports_injections () =
+  with_plan "seed=2;serve.slow=0.5@0.001" @@ fun () ->
+  with_daemon (Vserve.Engine.create base_config) @@ fun _ transport ->
+  match
+    Vserve.Loadtest.run_socket ~requests:40 ~timeout_s:30.0 ~shutdown:true
+      transport
+  with
+  | Ok r ->
+      check_bool "serve.slow injections reported" true
+        (List.mem_assoc "serve.slow" r.Vserve.Loadtest.lt_injected)
+  | Error m -> Alcotest.failf "socket loadtest failed: %s" m
 
 let tests =
   [ Alcotest.test_case "jsonv totality" `Quick test_jsonv_totality;
@@ -748,6 +880,11 @@ let tests =
       test_deadline_partial_and_reject;
     Alcotest.test_case "injected slowness partial" `Quick
       test_injected_slowness_partial;
+    Alcotest.test_case "memo warm equals cold" `Quick test_memo_warm_equals_cold;
+    Alcotest.test_case "memo faults on warm keys" `Quick
+      test_memo_faults_on_warm_keys;
+    Alcotest.test_case "memo concurrent cold key" `Quick
+      test_memo_concurrent_cold_key;
     Alcotest.test_case "reload validation" `Quick test_reload_validation;
     Alcotest.test_case "compat typed errors" `Quick test_compat_typed_errors;
     Alcotest.test_case "engine reload ops" `Quick test_engine_reload_ops;
@@ -755,4 +892,6 @@ let tests =
     Alcotest.test_case "journal restart" `Quick test_journal_restart;
     Alcotest.test_case "sim deterministic" `Quick test_sim_deterministic;
     Alcotest.test_case "sim chaos accounted" `Quick test_sim_chaos_accounted;
-    Alcotest.test_case "socket end-to-end" `Quick test_socket_end_to_end ]
+    Alcotest.test_case "socket end-to-end" `Quick test_socket_end_to_end;
+    Alcotest.test_case "socket reports injections" `Quick
+      test_socket_reports_injections ]
