@@ -919,6 +919,9 @@ let cachestats_cmd =
         List.iter
           (fun (b, count) -> Printf.printf "  %-8s %6d sample(s)\n" b count)
           per_backend);
+    let x = Dataset.exec_stats () in
+    Printf.printf "executions: %d of %d lookups ran, %d memo hits\n"
+      x.Dataset.misses (x.Dataset.hits + x.Dataset.misses) x.Dataset.hits;
     let l = Experiment.loocv_cache_stats () in
     Printf.printf "loocv cache: %d hits, %d misses, %d prediction vectors\n"
       l.Dataset.hits l.Dataset.misses l.Dataset.entries
@@ -927,7 +930,8 @@ let cachestats_cmd =
     (Cmd.info "cachestats"
        ~doc:
          "Run every registry experiment against the shared sample cache and \
-          report hit/miss counters and the per-backend sample breakdown")
+          report hit/miss counters, the per-backend sample breakdown and \
+          how many kernel executions ran")
     Term.(const run $ backend_arg)
 
 (* --- health ----------------------------------------------------------------- *)
@@ -1244,7 +1248,8 @@ let faults_cmd =
 (* --- serve / loadtest -------------------------------------------------------
    The serving tier: [serve] runs the daemon, [loadtest] either drives
    the deterministic virtual-time simulation (the bench/CI mode) or
-   floods a running daemon over its socket. *)
+   streams requests to a running daemon over its socket, never more
+   unanswered than the daemon's queue limit. *)
 
 let socket_arg =
   Arg.(
@@ -1368,8 +1373,9 @@ let loadtest_cmd =
       & opt (some string) None
       & info [ "connect" ] ~docv:"PATH"
           ~doc:
-            "Flood a running daemon at this Unix socket instead of \
-             simulating (wall-clock mode).")
+            "Stream requests to a running daemon at this Unix socket \
+             instead of simulating (wall-clock mode), at most its queue \
+             limit unanswered.")
   in
   let shutdown_flag =
     Arg.(

@@ -155,6 +155,57 @@ let robust_speedup ~noise_amp ~seed ~repeats ~(machine : Vmachine.Descr.t) ~n
         Ok { m0 with Vmachine.Measure.speedup = med }
   end
 
+(* --- execution memo ----------------------------------------------------
+   An execution digest depends on none of the machine, the transform or
+   the noise: [Measure.execute] reads the kernel, n, seed, repeats, the
+   backend, the license and the active fault plan (its [sanitize.poison]
+   site).  The registry re-measures the same kernels for six (machine,
+   transform) pairs plus the typed, apps and cleaned sets, so a cold
+   report pass asks for 753 executions of 206 distinct inputs.  The digest
+   is memoized under exactly those inputs, next to the sample cache:
+   [cache_clear] empties the memo, and with the cache disabled
+   ([kernel_digest = None]) every execution runs.  Like the sample cache
+   it holds one digest per distinct input and never evicts. *)
+
+let exec_memo : (string, string) Hashtbl.t = Hashtbl.create 256
+let exec_mutex = Mutex.create ()
+let exec_hits = Atomic.make 0
+let exec_misses = Atomic.make 0
+
+let execute ~kernel_digest ~license ~backend ~seed ~repeats ~n k =
+  let run () =
+    (Vmachine.Measure.execute ~license ~backend ~seed ~repeats ~n k)
+      .Vmachine.Measure.exec_digest
+  in
+  match kernel_digest with
+  | None -> run ()
+  | Some kd -> (
+      let key =
+        Digest.string
+          (String.concat "|"
+             [ kd;
+               string_of_int n;
+               string_of_int seed;
+               string_of_int repeats;
+               Vexec.Backend.to_string backend;
+               Marshal.to_string license.Vexec.License.lic_verdicts [];
+               Vfault.Plan.to_string (Vfault.Inject.active ()) ])
+      in
+      Mutex.lock exec_mutex;
+      let found = Hashtbl.find_opt exec_memo key in
+      Mutex.unlock exec_mutex;
+      match found with
+      | Some d ->
+          Atomic.incr exec_hits;
+          d
+      | None ->
+          Atomic.incr exec_misses;
+          let d = run () in
+          Mutex.lock exec_mutex;
+          Hashtbl.replace exec_memo key d;
+          Mutex.unlock exec_mutex;
+          d)
+
 (* --- building one sample -------------------------------------------------- *)
 
 (* What building an entry produced; cached as-is so hits on quarantined
@@ -164,8 +215,8 @@ type build_outcome =
   | Not_vectorizable
   | Quarantined of string
 
-let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
-    ~transform ~n (e : Tsvc.Registry.entry) =
+let build_one ~kernel_digest ~noise_amp ~seed ~repeats ~backend
+    ~(machine : Vmachine.Descr.t) ~transform ~n (e : Tsvc.Registry.entry) =
   let k = e.kernel in
   let vf = Vmachine.Descr.vf_for_kernel machine k in
   if vf < 2 then Not_vectorizable
@@ -184,8 +235,8 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
                digest is checked for stability across them. *)
             let a = Feature.analyze ~n ~vf k in
             let license = Vanalysis.Cert.license (Lazy.force a.certificate) in
-            let ex =
-              Vmachine.Measure.execute ~license ~backend ~seed ~repeats ~n k
+            let exec_digest =
+              execute ~kernel_digest ~license ~backend ~seed ~repeats ~n k
             in
             let sest = Vmachine.Sched.scalar_estimate machine ~n k in
             let vest = Vmachine.Sched.vector_estimate machine ~n vk in
@@ -211,7 +262,7 @@ let build_one ~noise_amp ~seed ~repeats ~backend ~(machine : Vmachine.Descr.t)
                 cert = Lazy.force a.cert;
                 vraw = Feature.vcounts vk;
                 exec_backend = Vexec.Backend.to_string backend;
-                exec_digest = ex.Vmachine.Measure.exec_digest;
+                exec_digest;
                 measured = m.speedup;
                 scalar_cycles_iter = sest.Vmachine.Sched.cycles *. nf "#s";
                 vector_cycles_block = vest.Vmachine.Sched.cycles *. nf "#v";
@@ -247,13 +298,24 @@ let cache_clear () =
   Hashtbl.reset cache;
   Mutex.unlock cache_mutex;
   Atomic.set cache_hits 0;
-  Atomic.set cache_misses 0
+  Atomic.set cache_misses 0;
+  Mutex.lock exec_mutex;
+  Hashtbl.reset exec_memo;
+  Mutex.unlock exec_mutex;
+  Atomic.set exec_hits 0;
+  Atomic.set exec_misses 0
 
 let cache_stats () =
   Mutex.lock cache_mutex;
   let entries = Hashtbl.length cache in
   Mutex.unlock cache_mutex;
   { hits = Atomic.get cache_hits; misses = Atomic.get cache_misses; entries }
+
+let exec_stats () =
+  Mutex.lock exec_mutex;
+  let entries = Hashtbl.length exec_memo in
+  Mutex.unlock exec_mutex;
+  { hits = Atomic.get exec_hits; misses = Atomic.get exec_misses; entries }
 
 (* The op tables of a machine are closures and cannot be digested; every
    other field is plain data.  Builtin machines differ in name, and
@@ -272,11 +334,11 @@ let machine_fingerprint (d : Vmachine.Descr.t) =
          string_of_int d.loop_uops;
          string_of_float d.vec_setup_cycles ])
 
-let sample_key ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n
-    (e : Tsvc.Registry.entry) =
+let sample_key ~kernel_digest ~noise_amp ~seed ~repeats ~backend ~machine
+    ~transform ~n (e : Tsvc.Registry.entry) =
   Digest.string
     (String.concat "|"
-       [ Digest.string (Marshal.to_string e.Tsvc.Registry.kernel []);
+       [ kernel_digest;
          Tsvc.Category.to_string e.category;
          machine_fingerprint machine;
          transform_to_string transform;
@@ -303,10 +365,15 @@ let build_one_cached ~noise_amp ~seed ~repeats ~backend
   let kname = e.Tsvc.Registry.kernel.Kernel.name in
   let outcome =
     if not (Atomic.get cache_enabled) then
-      build_one ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n e
+      build_one ~kernel_digest:None ~noise_amp ~seed ~repeats ~backend ~machine
+        ~transform ~n e
     else begin
+      let kernel_digest =
+        Digest.string (Marshal.to_string e.Tsvc.Registry.kernel [])
+      in
       let key =
-        sample_key ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n e
+        sample_key ~kernel_digest ~noise_amp ~seed ~repeats ~backend ~machine
+          ~transform ~n e
       in
       Mutex.lock cache_mutex;
       let found = Hashtbl.find_opt cache key in
@@ -331,8 +398,8 @@ let build_one_cached ~noise_amp ~seed ~repeats ~backend
       | None ->
           Atomic.incr cache_misses;
           let v =
-            build_one ~noise_amp ~seed ~repeats ~backend ~machine ~transform ~n
-              e
+            build_one ~kernel_digest:(Some kernel_digest) ~noise_amp ~seed
+              ~repeats ~backend ~machine ~transform ~n e
           in
           Mutex.lock cache_mutex;
           Hashtbl.replace cache key v;

@@ -97,11 +97,21 @@ type cache_stats = { hits : int; misses : int; entries : int }
     including negative entries for non-vectorizable kernels). *)
 val cache_stats : unit -> cache_stats
 
-(** Drop every cached sample and reset the counters. *)
+(** Hit/miss counters of the execution memo since the last
+    {!cache_clear}, plus its entry count.  A build that misses the sample
+    cache looks its kernel's execution digest up under everything
+    {!Vmachine.Measure.execute} reads (kernel content, n, seed, repeats,
+    backend, license verdicts, active fault plan), so a miss is one
+    execution. *)
+val exec_stats : unit -> cache_stats
+
+(** Drop every cached sample and memoized execution and reset the
+    counters. *)
 val cache_clear : unit -> unit
 
 (** Disable or re-enable memoization (used to time cold baselines).
-    Enabled by default; when disabled the counters do not move. *)
+    Enabled by default; when disabled the sample cache and the execution
+    memo are bypassed and the counters do not move. *)
 val set_cache_enabled : bool -> unit
 
 (** Which execution backend produced the cached samples currently live in

@@ -58,7 +58,9 @@ let features_of kind (s : Dataset.sample) =
 
 let dot w f =
   let acc = ref 0.0 in
-  Array.iteri (fun i v -> acc := !acc +. (v *. w.(i))) f;
+  for i = 0 to Array.length f - 1 do
+    acc := !acc +. (f.(i) *. w.(i))
+  done;
   !acc
 
 let l2_solve x ys =
@@ -75,19 +77,20 @@ let l2_solve x ys =
    Huber = L2 at zero contamination. *)
 let huber_k = 1.345
 
-let huber_solve rows ys =
-  let rows_arr = Array.of_list rows in
+let huber_solve x ys =
   let n = Array.length ys in
+  let p = Vlinalg.Mat.cols x in
   let yscale =
     Array.fold_left (fun m v -> Float.max m (Float.abs v)) 1.0 ys
   in
-  let w0 = l2_solve (Vlinalg.Mat.of_rows rows) ys in
+  (* Each iteration's weighted design, refilled in place: [Qr] factors a
+     copy, so one matrix serves every solve. *)
+  let xw = Vlinalg.Mat.create n p in
   let rec iterate w iter =
     if iter >= 50 then w
     else begin
-      let absr =
-        Array.init n (fun i -> Float.abs (ys.(i) -. dot w rows_arr.(i)))
-      in
+      let fitted = Vlinalg.Mat.mat_vec x w in
+      let absr = Array.init n (fun i -> Float.abs (ys.(i) -. fitted.(i))) in
       let s = 1.4826 *. Vstats.Descriptive.median absr in
       if s <= 1e-12 *. yscale then w
       else begin
@@ -96,14 +99,13 @@ let huber_solve rows ys =
               let r = absr.(i) in
               if r <= huber_k *. s then 1.0 else sqrt (huber_k *. s /. r))
         in
-        let xr =
-          Array.to_list
-            (Array.mapi
-               (fun i row -> Array.map (fun v -> sw.(i) *. v) row)
-               rows_arr)
-        in
+        for i = 0 to n - 1 do
+          for j = (i * p) to (i * p) + p - 1 do
+            xw.Vlinalg.Mat.data.(j) <- sw.(i) *. x.Vlinalg.Mat.data.(j)
+          done
+        done;
         let yr = Array.init n (fun i -> sw.(i) *. ys.(i)) in
-        let w' = l2_solve (Vlinalg.Mat.of_rows xr) yr in
+        let w' = l2_solve xw yr in
         let wscale =
           Array.fold_left (fun m v -> Float.max m (Float.abs v)) 1.0 w
         in
@@ -115,13 +117,13 @@ let huber_solve rows ys =
       end
     end
   in
-  iterate w0 0
+  iterate (l2_solve x ys) 0
 
 let solve method_ rows ys =
   let x = Vlinalg.Mat.of_rows rows in
   match method_ with
   | L2 -> l2_solve x ys
-  | Huber -> huber_solve rows ys
+  | Huber -> huber_solve x ys
   | Nnls -> Vlinalg.Nnls.solve x ys
   | Svr ->
       (* Normalize the epsilon tube to the target scale. *)

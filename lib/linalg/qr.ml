@@ -1,6 +1,7 @@
 (* Least squares by Householder QR with column pivoting disabled (the fitting
    matrices here are small and well scaled; rank deficiency is handled by
-   regularizing the trailing diagonal). *)
+   regularizing the trailing diagonal).  Element (i, j) of an m x n matrix
+   is [data.(i * n + j)]. *)
 
 exception Singular of string
 
@@ -11,24 +12,26 @@ let factorize a b =
   if m < n then invalid_arg "Qr.factorize: need rows >= cols";
   if Array.length b <> m then invalid_arg "Qr.factorize: rhs size mismatch";
   let r = Mat.copy a in
+  let d = r.Mat.data in
   let qtb = Array.copy b in
   for k = 0 to n - 1 do
     (* Householder vector for column k below the diagonal. *)
     let norm = ref 0.0 in
     for i = k to m - 1 do
-      let v = Mat.get r i k in
+      let v = d.((i * n) + k) in
       norm := !norm +. (v *. v)
     done;
     let norm = sqrt !norm in
     if norm > 0.0 then begin
-      let alpha = if Mat.get r k k > 0.0 then -.norm else norm in
+      let rkk = d.((k * n) + k) in
+      let alpha = if rkk > 0.0 then -.norm else norm in
       (* v = x - alpha * e1, normalized so v.(k) = 1 *)
-      let vk = Mat.get r k k -. alpha in
+      let vk = rkk -. alpha in
       if vk <> 0.0 then begin
         let v = Array.make m 0.0 in
         v.(k) <- 1.0;
         for i = k + 1 to m - 1 do
-          v.(i) <- Mat.get r i k /. vk
+          v.(i) <- d.((i * n) + k) /. vk
         done;
         let vtv = ref 0.0 in
         for i = k to m - 1 do
@@ -39,11 +42,12 @@ let factorize a b =
         for j = k to n - 1 do
           let dot = ref 0.0 in
           for i = k to m - 1 do
-            dot := !dot +. (v.(i) *. Mat.get r i j)
+            dot := !dot +. (v.(i) *. d.((i * n) + j))
           done;
           let s = beta *. !dot in
           for i = k to m - 1 do
-            Mat.set r i j (Mat.get r i j -. (s *. v.(i)))
+            let ij = (i * n) + j in
+            d.(ij) <- d.(ij) -. (s *. v.(i))
           done
         done;
         (* And to the right-hand side. *)
@@ -56,9 +60,9 @@ let factorize a b =
           qtb.(i) <- qtb.(i) -. (s *. v.(i))
         done
       end;
-      Mat.set r k k alpha;
+      d.((k * n) + k) <- alpha;
       for i = k + 1 to m - 1 do
-        Mat.set r i k 0.0
+        d.((i * n) + k) <- 0.0
       done
     end
   done;
@@ -67,16 +71,17 @@ let factorize a b =
 (* Solve the triangular system R x = (Q^T b)[0..n-1]. *)
 let back_substitute r qtb =
   let n = Mat.cols r in
+  let d = r.Mat.data in
   let x = Array.make n 0.0 in
   for i = n - 1 downto 0 do
     let s = ref qtb.(i) in
     for j = i + 1 to n - 1 do
-      s := !s -. (Mat.get r i j *. x.(j))
+      s := !s -. (d.((i * n) + j) *. x.(j))
     done;
-    let d = Mat.get r i i in
-    if abs_float d < 1e-12 then
+    let rii = d.((i * n) + i) in
+    if abs_float rii < 1e-12 then
       raise (Singular (Printf.sprintf "zero pivot at column %d" i));
-    x.(i) <- !s /. d
+    x.(i) <- !s /. rii
   done;
   x
 
@@ -85,6 +90,18 @@ let back_substitute r qtb =
 let lstsq a b =
   let r, qtb = factorize a b in
   back_substitute r qtb
+
+(* A with sqrt(lambda) I stacked below it: the ridge problem as plain
+   least squares. *)
+let augment ~lambda a =
+  let m = Mat.rows a and n = Mat.cols a in
+  let aug = Mat.create (m + n) n in
+  Array.blit a.Mat.data 0 aug.Mat.data 0 (m * n);
+  let sl = sqrt lambda in
+  for j = 0 to n - 1 do
+    aug.Mat.data.(((m + j) * n) + j) <- sl
+  done;
+  aug
 
 (* Leverage scores: the diagonal of the hat matrix
      H = A (A^T A + lambda I)^-1 A^T.
@@ -98,28 +115,22 @@ let leverages ?(lambda = 0.0) a =
   let m = Mat.rows a and n = Mat.cols a in
   let r =
     if lambda = 0.0 then fst (factorize a (Array.make m 0.0))
-    else begin
-      let sl = sqrt lambda in
-      let aug =
-        Mat.init (m + n) n (fun i j ->
-            if i < m then Mat.get a i j else if i - m = j then sl else 0.0)
-      in
-      fst (factorize aug (Array.make (m + n) 0.0))
-    end
+    else fst (factorize (augment ~lambda a) (Array.make (m + n) 0.0))
   in
+  let ad = a.Mat.data and rd = r.Mat.data in
   let h = Array.make m 0.0 in
   let z = Array.make n 0.0 in
   for i = 0 to m - 1 do
     (* Forward-solve R^T z = a_i (R^T is lower triangular). *)
     for j = 0 to n - 1 do
-      let s = ref (Mat.get a i j) in
+      let s = ref ad.((i * n) + j) in
       for t = 0 to j - 1 do
-        s := !s -. (Mat.get r t j *. z.(t))
+        s := !s -. (rd.((t * n) + j) *. z.(t))
       done;
-      let d = Mat.get r j j in
-      if abs_float d < 1e-12 then
+      let rjj = rd.((j * n) + j) in
+      if abs_float rjj < 1e-12 then
         raise (Singular (Printf.sprintf "zero pivot at column %d" j));
-      z.(j) <- !s /. d
+      z.(j) <- !s /. rjj
     done;
     let acc = ref 0.0 in
     for j = 0 to n - 1 do
@@ -133,11 +144,5 @@ let leverages ?(lambda = 0.0) a =
    stacking sqrt(lambda) I below A.  Never singular for lambda > 0. *)
 let lstsq_ridge ~lambda a b =
   if lambda < 0.0 then invalid_arg "Qr.lstsq_ridge: negative lambda";
-  let m = Mat.rows a and n = Mat.cols a in
-  let sl = sqrt lambda in
-  let aug =
-    Mat.init (m + n) n (fun i j ->
-        if i < m then Mat.get a i j else if i - m = j then sl else 0.0)
-  in
-  let baug = Array.append b (Array.make n 0.0) in
-  lstsq aug baug
+  let baug = Array.append b (Array.make (Mat.cols a) 0.0) in
+  lstsq (augment ~lambda a) baug

@@ -43,12 +43,17 @@ let coordinate_min ~q ~g ~b ~eps ~c =
 let fit ?(params = default_params) x y =
   let m = Mat.rows x and n = Mat.cols x in
   if Array.length y <> m then invalid_arg "Svr.fit: size mismatch";
+  let xd = x.Mat.data in
   let beta = Array.make m 0.0 in
   let w = Array.make n 0.0 in
   let qdiag =
     Array.init m (fun i ->
-        let r = Mat.row x i in
-        Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 r)
+        let acc = ref 0.0 in
+        for j = 0 to n - 1 do
+          let v = xd.((i * n) + j) in
+          acc := !acc +. (v *. v)
+        done;
+        !acc)
   in
   let order = Array.init m Fun.id in
   let state = ref 0x9E3779B9 in
@@ -58,28 +63,28 @@ let fit ?(params = default_params) x y =
     incr epoch;
     max_delta := 0.0;
     shuffle state order;
-    Array.iter
-      (fun i ->
-        let q = qdiag.(i) in
-        if q > 0.0 then begin
-          let xi = Mat.row x i in
-          let dot = ref 0.0 in
+    for t = 0 to m - 1 do
+      let i = order.(t) in
+      let q = qdiag.(i) in
+      if q > 0.0 then begin
+        let row = i * n in
+        let dot = ref 0.0 in
+        for j = 0 to n - 1 do
+          dot := !dot +. (w.(j) *. xd.(row + j))
+        done;
+        let g = !dot -. y.(i) in
+        let s =
+          coordinate_min ~q ~g ~b:beta.(i) ~eps:params.epsilon ~c:params.c
+        in
+        let d = s -. beta.(i) in
+        if abs_float d > 0.0 then begin
+          beta.(i) <- s;
           for j = 0 to n - 1 do
-            dot := !dot +. (w.(j) *. xi.(j))
+            w.(j) <- w.(j) +. (d *. xd.(row + j))
           done;
-          let g = !dot -. y.(i) in
-          let s =
-            coordinate_min ~q ~g ~b:beta.(i) ~eps:params.epsilon ~c:params.c
-          in
-          let d = s -. beta.(i) in
-          if abs_float d > 0.0 then begin
-            beta.(i) <- s;
-            for j = 0 to n - 1 do
-              w.(j) <- w.(j) +. (d *. xi.(j))
-            done;
-            max_delta := Float.max !max_delta (abs_float d)
-          end
-        end)
-      order
+          max_delta := Float.max !max_delta (abs_float d)
+        end
+      end
+    done
   done;
   w

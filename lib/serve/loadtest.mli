@@ -8,8 +8,9 @@
     byte-identical across machines and worker counts, which is what lets
     CI pin a seeded chaos run.
 
-    [run_socket] is the real client for a running daemon: it floods the
-    socket with the same request mix, matches responses by id and reports
+    [run_socket] is the real client for a running daemon: it streams the
+    same request mix over the socket, never more requests unanswered than
+    the daemon's queue limit, matches responses by id and reports
     wall-clock latencies plus the zero-lost check. *)
 
 type result = {
@@ -56,11 +57,14 @@ val gate :
 (** Socket client mode: send [requests] requests to a daemon, read until
     every id is answered or [timeout_s] expires, then return the tally
     (latencies are wall-clock; determinism is not promised).  The
-    daemon's [stats] op, asked alone before the stream and after its last
-    answer, supplies [lt_injected]: the [serve.*] / [pool.*] injections
-    the daemon counted in between.  [shutdown] sends a shutdown op last.
-    [Error] on connection failure, lost (unanswered) requests or an
-    unanswered stats op. *)
+    daemon's [health] op, asked alone before the stream, supplies its
+    [queue_limit], and the stream keeps at most that many requests
+    unanswered, so the daemon's admission control never sheds it.  The
+    [stats] op, asked alone before the stream and after its last answer,
+    supplies [lt_injected]: the [serve.*] / [pool.*] injections the daemon
+    counted in between.  [shutdown] sends a shutdown op last.  [Error] on
+    connection failure, lost (unanswered) requests or an unanswered
+    health or stats op. *)
 val run_socket :
   ?requests:int -> ?timeout_s:float -> ?shutdown:bool ->
   Server.transport -> (result, string) Stdlib.result

@@ -452,6 +452,109 @@ let test_cache_backend_attribution () =
     (try List.assoc "closure" counts with Not_found -> 0);
   Dataset.cache_clear ()
 
+(* --- Execution memo ----------------------------------------------------------
+   A build that misses the sample cache looks its execution digest up under
+   what [Measure.execute] reads, not under the machine or the transform. *)
+
+let exec_misses () = (Dataset.exec_stats ()).Dataset.misses
+
+(* Builds sharing kernels across machines and transforms execute each
+   kernel once, and serve the same samples as builds that execute every
+   kernel: a later build misses only on kernels no earlier build ran. *)
+let test_exec_memo_reuse () =
+  let configs =
+    Vmachine.Machines.
+      [ (neon_a57, Dataset.Llv); (cortex_a53, Dataset.Llv);
+        (xeon_avx2, Dataset.Slp) ]
+  in
+  let build (machine, transform) =
+    Dataset.build ~machine ~transform ~n:256 Tsvc.Registry.all
+  in
+  Dataset.set_cache_enabled false;
+  let reference = List.map build configs in
+  Dataset.set_cache_enabled true;
+  Dataset.cache_clear ();
+  let executed = Hashtbl.create 256 in
+  List.iter2
+    (fun ((m : Vmachine.Descr.t), t) expected ->
+      let label = m.name ^ "/" ^ Dataset.transform_to_string t in
+      let before = exec_misses () in
+      let samples = build (m, t) in
+      let fresh =
+        List.filter
+          (fun (s : Dataset.sample) -> not (Hashtbl.mem executed s.name))
+          samples
+      in
+      check_int (label ^ " misses only on kernels not run before")
+        (List.length fresh)
+        (exec_misses () - before);
+      List.iter
+        (fun (s : Dataset.sample) -> Hashtbl.replace executed s.name ())
+        samples;
+      check_int (label ^ " sample count") (List.length expected)
+        (List.length samples);
+      List.iter2
+        (fun (a : Dataset.sample) (b : Dataset.sample) ->
+          check_string (label ^ " " ^ a.name ^ " digest") a.exec_digest
+            b.exec_digest;
+          check (label ^ " " ^ a.name ^ " every field") true (a = b))
+        expected samples)
+    configs reference;
+  check "later builds hit the memo" true ((Dataset.exec_stats ()).hits > 0);
+  Dataset.cache_clear ()
+
+(* Every input [Measure.execute] reads is in the key: another backend,
+   seed, n or fault plan executes every kernel again. *)
+let test_exec_memo_key () =
+  Dataset.cache_clear ();
+  let build ?(backend = Backend.Closure) ?(seed = 1) ?(n = 256) () =
+    Dataset.build ~backend ~seed ~machine ~transform:Dataset.Llv ~n (slice ())
+  in
+  let kernels = List.length (build ()) in
+  check "slice non-empty" true (kernels > 0);
+  let plan =
+    match Vfault.Plan.parse "seed=9;serve.drop=0.5" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let with_plan () =
+    let saved = Vfault.Inject.active () in
+    Vfault.Inject.set_active plan;
+    Fun.protect
+      ~finally:(fun () -> Vfault.Inject.set_active saved)
+      (fun () -> build ())
+  in
+  List.iter
+    (fun (label, run) ->
+      let before = exec_misses () in
+      check_int (label ^ " sample count") kernels (List.length (run ()));
+      check_int (label ^ " misses every kernel") kernels
+        (exec_misses () - before))
+    [ ("interp backend", fun () -> build ~backend:Backend.Interp ());
+      ("seed 2", fun () -> build ~seed:2 ());
+      ("n 512", fun () -> build ~n:512 ());
+      ("fault plan", with_plan) ];
+  Dataset.cache_clear ()
+
+(* [cache_clear] empties the memo and resets its counters, so a cold
+   build executes every kernel. *)
+let test_exec_memo_clear () =
+  Dataset.cache_clear ();
+  let build () =
+    Dataset.build ~machine ~transform:Dataset.Llv ~n:256 (slice ())
+  in
+  let kernels = List.length (build ()) in
+  check "first build executed" true (exec_misses () = kernels && kernels > 0);
+  Dataset.cache_clear ();
+  let cleared = Dataset.exec_stats () in
+  check_int "counters reset" 0 (cleared.Dataset.hits + cleared.Dataset.misses);
+  check_int "memo emptied" 0 cleared.Dataset.entries;
+  ignore (build ());
+  let after = Dataset.exec_stats () in
+  check_int "every kernel misses" kernels after.Dataset.misses;
+  check_int "no hits" 0 after.Dataset.hits;
+  Dataset.cache_clear ()
+
 let tests =
   [ Alcotest.test_case "backend selection: interp and closure" `Quick
       test_backend_selection;
@@ -477,4 +580,10 @@ let tests =
     Alcotest.test_case "dataset: worker-count determinism" `Slow
       test_worker_determinism;
     Alcotest.test_case "cache attributes entries to backends" `Quick
-      test_cache_backend_attribution ]
+      test_cache_backend_attribution;
+    Alcotest.test_case "memo: shared kernels execute once" `Slow
+      test_exec_memo_reuse;
+    Alcotest.test_case "memo: every execute input is keyed" `Quick
+      test_exec_memo_key;
+    Alcotest.test_case "memo: cache_clear empties it" `Quick
+      test_exec_memo_clear ]

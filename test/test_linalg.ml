@@ -17,18 +17,26 @@ let vec_approx ?(eps = 1e-8) a b =
 
 (* --- Mat ---------------------------------------------------------------- *)
 
+(* A rows x cols matrix of [f i j], drawn row by row, left to right. *)
+let mat_init rows cols f =
+  Mat.of_rows (List.init rows (fun i -> Array.init cols (fun j -> f i j)))
+
 let test_mat_basics () =
-  let m = Mat.init 2 3 (fun i j -> float_of_int ((i * 3) + j)) in
-  checkf "get" 5.0 (Mat.get m 1 2);
-  Mat.set m 1 2 9.0;
-  checkf "set" 9.0 (Mat.get m 1 2);
+  let m = mat_init 2 3 (fun i j -> float_of_int ((i * 3) + j)) in
+  checkf "row-major (1,2)" 5.0 m.Mat.data.((1 * 3) + 2);
+  let c = Mat.copy m in
+  check "copy is a new array" true (c.Mat.data != m.Mat.data && c = m);
   Alcotest.(check int) "rows" 2 (Mat.rows m);
   Alcotest.(check int) "cols" 3 (Mat.cols m)
 
 let test_mat_bounds () =
   let m = Mat.create 2 2 in
-  Alcotest.check_raises "oob get" (Invalid_argument "Mat.get (2,0) of 2x2")
-    (fun () -> ignore (Mat.get m 2 0))
+  Alcotest.check_raises "column out of range"
+    (Invalid_argument "Mat.select_cols: column 2 of 2x2")
+    (fun () -> ignore (Mat.select_cols m [ 0; 2 ]));
+  Alcotest.check_raises "negative dimension"
+    (Invalid_argument "Mat.create: negative dimension")
+    (fun () -> ignore (Mat.create (-1) 2))
 
 let test_mat_vec () =
   let m = Mat.of_rows [ [| 1.0; 2.0 |]; [| 3.0; 4.0 |] ] in
@@ -39,8 +47,8 @@ let test_mat_vec () =
 let test_select_cols () =
   let m = Mat.of_rows [ [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] ] in
   let s = Mat.select_cols m [ 2; 0 ] in
-  check "selected" true
-    (vec_approx (Mat.row s 0) [| 3.0; 1.0 |] && vec_approx (Mat.row s 1) [| 6.0; 4.0 |])
+  Alcotest.(check int) "cols" 2 (Mat.cols s);
+  check "selected" true (vec_approx s.Mat.data [| 3.0; 1.0; 6.0; 4.0 |])
 
 let test_ragged_rejected () =
   Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_rows: ragged rows")
@@ -136,7 +144,7 @@ let test_nnls_kkt_prop =
       let rows = cols + 3 in
       let st = Random.State.make [| seed |] in
       let a =
-        Mat.init rows cols (fun _ _ -> Random.State.float st 2.0 -. 0.5)
+        mat_init rows cols (fun _ _ -> Random.State.float st 2.0 -. 0.5)
       in
       let y = Array.init rows (fun _ -> Random.State.float st 3.0 -. 1.0) in
       nnls_kkt a y)
@@ -148,7 +156,7 @@ let test_lstsq_recovers_random_prop =
       let rows = (2 * cols) + 3 in
       let st = Random.State.make [| seed + 7 |] in
       let w0 = Array.init cols (fun _ -> Random.State.float st 4.0 -. 2.0) in
-      let a = Mat.init rows cols (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
+      let a = mat_init rows cols (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
       let y = Mat.mat_vec a w0 in
       try
         let w = Qr.lstsq a y in
@@ -160,7 +168,7 @@ let test_lstsq_recovers_random_prop =
 let test_svr_linear_recovery () =
   let st = Random.State.make [| 42 |] in
   let rows = 60 in
-  let a = Mat.init rows 3 (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
+  let a = mat_init rows 3 (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let w0 = [| 1.5; -0.5; 2.0 |] in
   let y = Mat.mat_vec a w0 in
   let w = Svr.fit a y in
@@ -175,10 +183,62 @@ let test_svr_epsilon_insensitive () =
 
 let test_svr_deterministic () =
   let st = Random.State.make [| 9 |] in
-  let a = Mat.init 20 2 (fun _ _ -> Random.State.float st 1.0) in
+  let a = mat_init 20 2 (fun _ _ -> Random.State.float st 1.0) in
   let y = Array.init 20 (fun i -> float_of_int i /. 10.0) in
   let w1 = Svr.fit a y and w2 = Svr.fit a y in
   check "same result twice" true (vec_approx ~eps:0.0 w1 w2)
+
+(* --- bit-exact fits ----------------------------------------------------------
+   The golden report prints three decimals; these pin every bit.  Each
+   entry is the digest of the %h text of one weight vector fitted on F1's
+   design (neon-a57/LLV at the default config: 116 rated rows for the
+   speedup target, 232 raw-count block rows for the cost target), recorded
+   while the fitters still read the matrix element by element through an
+   accessor.  The rated design has all-zero columns, so L2 and Huber solve
+   through the ridge fallback and the NNLS passive solves through plain QR. *)
+
+let hex v = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v))
+
+let f1_pins =
+  [ ("L2/speedup", "fee73207135acdd7f444a3e83152fdc4");
+    ("NNLS/speedup", "9f19811a938c44ce51e7657ec2e210d3");
+    ("Huber/speedup", "da09932b82abe7f636fe44f64ac76042");
+    ("SVR/speedup", "3737235e1421534e3ef72c2f1fa2a531");
+    ("L2/cost", "0bf6ecc85a1e5052db14b4900d392d16");
+    ("NNLS/cost", "03c583547de1edb184edd21e78a7a478");
+    ("Huber/cost", "58e444c6e02e9cc003329c145e4d26a4");
+    ("SVR/cost", "fc9a49c3feb140dee23d14b7c93520c7");
+    ("leverages 1e-6", "51a069999ba01d27c93af8b0196b70b7") ]
+
+let pin label v =
+  let got = Digest.to_hex (Digest.string (hex v)) in
+  if not (String.equal got (List.assoc label f1_pins)) then
+    Alcotest.failf "%s changed (digest %s): %s" label got (hex v)
+
+let test_fits_bit_exact () =
+  let open Costmodel in
+  let samples =
+    Dataset.build ~machine:Vmachine.Machines.neon_a57 ~transform:Dataset.Llv
+      ~n:Tsvc.Registry.default_n Tsvc.Registry.all
+  in
+  Alcotest.(check int) "F1 rows" 116 (List.length samples);
+  List.iter
+    (fun target ->
+      List.iter
+        (fun method_ ->
+          let m =
+            Linmodel.fit ~method_ ~features:Linmodel.Rated ~target samples
+          in
+          pin
+            (Linmodel.fit_method_to_string method_ ^ "/"
+           ^ Linmodel.target_to_string target)
+            m.Linmodel.weights)
+        Linmodel.[ L2; Nnls; Huber; Svr ])
+    Linmodel.[ Speedup; Cost ];
+  let x = Mat.of_rows (List.map (fun (s : Dataset.sample) -> s.rated) samples) in
+  pin "leverages 1e-6" (Qr.leverages ~lambda:1e-6 x);
+  Alcotest.check_raises "plain leverages" (Qr.Singular "zero pivot at column 2")
+    (fun () -> ignore (Qr.leverages x))
 
 let tests =
   [ Alcotest.test_case "mat basics" `Quick test_mat_basics;
@@ -198,4 +258,5 @@ let tests =
     QCheck_alcotest.to_alcotest test_lstsq_recovers_random_prop;
     Alcotest.test_case "svr recovery" `Quick test_svr_linear_recovery;
     Alcotest.test_case "svr epsilon tube" `Quick test_svr_epsilon_insensitive;
-    Alcotest.test_case "svr deterministic" `Quick test_svr_deterministic ]
+    Alcotest.test_case "svr deterministic" `Quick test_svr_deterministic;
+    Alcotest.test_case "fits bit-exact on F1's design" `Quick test_fits_bit_exact ]

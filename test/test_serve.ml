@@ -862,6 +862,24 @@ let test_socket_reports_injections () =
         (List.mem_assoc "serve.slow" r.Vserve.Loadtest.lt_injected)
   | Error m -> Alcotest.failf "socket loadtest failed: %s" m
 
+(* The socket client keeps at most the daemon's queue limit unanswered,
+   so a stream far longer than the queue is served without one overload
+   rejection (sent all at once, 120 requests against a queue of 4 are
+   mostly shed). *)
+let test_socket_within_queue_limit () =
+  let engine = Vserve.Engine.create { base_config with queue_limit = 4 } in
+  with_daemon engine @@ fun _ transport ->
+  (match
+     Vserve.Loadtest.run_socket ~requests:120 ~timeout_s:30.0 ~shutdown:true
+       transport
+   with
+  | Ok r ->
+      check_int "answered" 120 r.Vserve.Loadtest.lt_answered;
+      check_int "no overload answers" 0 r.Vserve.Loadtest.lt_overload
+  | Error m -> Alcotest.failf "socket loadtest failed: %s" m);
+  check_int "daemon shed nothing" 0
+    (Vserve.Engine.stats engine).Vserve.Engine.rejected_overload
+
 let tests =
   [ Alcotest.test_case "jsonv totality" `Quick test_jsonv_totality;
     QCheck_alcotest.to_alcotest prop_jsonv_roundtrip;
@@ -893,5 +911,7 @@ let tests =
     Alcotest.test_case "sim deterministic" `Quick test_sim_deterministic;
     Alcotest.test_case "sim chaos accounted" `Quick test_sim_chaos_accounted;
     Alcotest.test_case "socket end-to-end" `Quick test_socket_end_to_end;
+    Alcotest.test_case "socket stays within the queue limit" `Quick
+      test_socket_within_queue_limit;
     Alcotest.test_case "socket reports injections" `Quick
       test_socket_reports_injections ]
