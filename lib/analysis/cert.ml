@@ -3,9 +3,9 @@
    A certificate is the bridge between the relational domain ([Rel]) and
    the execution tier: per access it records safe / unsafe / unknown plus
    the proving constraint (or refuting witness), and projects to a
-   [Vexec.License.t] that [Vexec.Closure.run_bound] consults to select the
-   unchecked body once per kernel instead of re-deriving intervals on
-   every bind.
+   [Vexec.License.t].  [Vexec.Closure.run_bound] still re-derives its
+   intervals on every bind and checks the license against them: a
+   guard-free license the bind-time proof refutes is a hard failure.
 
    Verdict composition:
 

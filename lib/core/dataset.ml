@@ -167,10 +167,7 @@ let robust_speedup ~noise_amp ~seed ~repeats ~(machine : Vmachine.Descr.t) ~n
    ([kernel_digest = None]) every execution runs.  Like the sample cache
    it holds one digest per distinct input and never evicts. *)
 
-let exec_memo : (string, string) Hashtbl.t = Hashtbl.create 256
-let exec_mutex = Mutex.create ()
-let exec_hits = Atomic.make 0
-let exec_misses = Atomic.make 0
+let exec_memo : (string, string) Vpar.Memo.t = Vpar.Memo.create ()
 
 let execute ~kernel_digest ~license ~backend ~seed ~repeats ~n k =
   let run () =
@@ -179,7 +176,7 @@ let execute ~kernel_digest ~license ~backend ~seed ~repeats ~n k =
   in
   match kernel_digest with
   | None -> run ()
-  | Some kd -> (
+  | Some kd ->
       let key =
         Digest.string
           (String.concat "|"
@@ -191,20 +188,7 @@ let execute ~kernel_digest ~license ~backend ~seed ~repeats ~n k =
                Marshal.to_string license.Vexec.License.lic_verdicts [];
                Vfault.Plan.to_string (Vfault.Inject.active ()) ])
       in
-      Mutex.lock exec_mutex;
-      let found = Hashtbl.find_opt exec_memo key in
-      Mutex.unlock exec_mutex;
-      match found with
-      | Some d ->
-          Atomic.incr exec_hits;
-          d
-      | None ->
-          Atomic.incr exec_misses;
-          let d = run () in
-          Mutex.lock exec_mutex;
-          Hashtbl.replace exec_memo key d;
-          Mutex.unlock exec_mutex;
-          d)
+      Vpar.Memo.find_or_compute exec_memo key run
 
 (* --- building one sample -------------------------------------------------- *)
 
@@ -283,39 +267,19 @@ let build_one ~kernel_digest ~noise_amp ~seed ~repeats ~backend
    must never serve samples built under a different plan.  The VF is
    derived from (machine, kernel) and therefore implied by the key. *)
 
-type cache_stats = { hits : int; misses : int; entries : int }
+type cache_stats = Vpar.Memo.stats = { hits : int; misses : int; entries : int }
 
-let cache : (string, build_outcome) Hashtbl.t = Hashtbl.create 1024
-let cache_mutex = Mutex.create ()
+let cache : (string, build_outcome) Vpar.Memo.t = Vpar.Memo.create ()
 let cache_enabled = Atomic.make true
-let cache_hits = Atomic.make 0
-let cache_misses = Atomic.make 0
 
 let set_cache_enabled b = Atomic.set cache_enabled b
 
 let cache_clear () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex;
-  Atomic.set cache_hits 0;
-  Atomic.set cache_misses 0;
-  Mutex.lock exec_mutex;
-  Hashtbl.reset exec_memo;
-  Mutex.unlock exec_mutex;
-  Atomic.set exec_hits 0;
-  Atomic.set exec_misses 0
+  Vpar.Memo.clear cache;
+  Vpar.Memo.clear exec_memo
 
-let cache_stats () =
-  Mutex.lock cache_mutex;
-  let entries = Hashtbl.length cache in
-  Mutex.unlock cache_mutex;
-  { hits = Atomic.get cache_hits; misses = Atomic.get cache_misses; entries }
-
-let exec_stats () =
-  Mutex.lock exec_mutex;
-  let entries = Hashtbl.length exec_memo in
-  Mutex.unlock exec_mutex;
-  { hits = Atomic.get exec_hits; misses = Atomic.get exec_misses; entries }
+let cache_stats () = Vpar.Memo.stats cache
+let exec_stats () = Vpar.Memo.stats exec_memo
 
 (* The op tables of a machine are closures and cannot be digested; every
    other field is plain data.  Builtin machines differ in name, and
@@ -375,36 +339,17 @@ let build_one_cached ~noise_amp ~seed ~repeats ~backend
         sample_key ~kernel_digest ~noise_amp ~seed ~repeats ~backend ~machine
           ~transform ~n e
       in
-      Mutex.lock cache_mutex;
-      let found = Hashtbl.find_opt cache key in
-      Mutex.unlock cache_mutex;
-      let found =
-        (* Simulated storage corruption: the entry fails its checksum, is
-           evicted, and the sample is rebuilt from scratch. *)
-        match found with
-        | Some _
-          when Vfault.Inject.cache_corrupt ~key:(Digest.to_hex key) ->
-            Atomic.incr cache_corruptions;
-            Mutex.lock cache_mutex;
-            Hashtbl.remove cache key;
-            Mutex.unlock cache_mutex;
-            None
-        | f -> f
-      in
-      match found with
-      | Some v ->
-          Atomic.incr cache_hits;
-          v
-      | None ->
-          Atomic.incr cache_misses;
-          let v =
-            build_one ~kernel_digest:(Some kernel_digest) ~noise_amp ~seed
-              ~repeats ~backend ~machine ~transform ~n e
-          in
-          Mutex.lock cache_mutex;
-          Hashtbl.replace cache key v;
-          Mutex.unlock cache_mutex;
-          v
+      (* Simulated storage corruption: the entry fails its checksum, is
+         evicted, and the sample is rebuilt from scratch. *)
+      if Vpar.Memo.mem cache key
+         && Vfault.Inject.cache_corrupt ~key:(Digest.to_hex key)
+      then begin
+        Atomic.incr cache_corruptions;
+        Vpar.Memo.remove cache key
+      end;
+      Vpar.Memo.find_or_compute cache key (fun () ->
+          build_one ~kernel_digest:(Some kernel_digest) ~noise_amp ~seed
+            ~repeats ~backend ~machine ~transform ~n e)
     end
   in
   record_outcome ~machine:machine.name ~transform kname outcome;
@@ -454,22 +399,14 @@ let build ?(noise_amp = Vmachine.Measure.default_noise) ?(seed = 1)
    [(backend, count)] sorted by backend name.  Negative entries
    (non-vectorizable, quarantined) carry no execution and are not counted. *)
 let cache_backends () =
-  Mutex.lock cache_mutex;
-  let counts = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun _ outcome ->
+  Vpar.Memo.fold
+    (fun _ outcome counts ->
       match outcome with
-      | Built s ->
-          let c =
-            match Hashtbl.find_opt counts s.exec_backend with
-            | Some c -> c
-            | None -> 0
-          in
-          Hashtbl.replace counts s.exec_backend (c + 1)
-      | Not_vectorizable | Quarantined _ -> ())
-    cache;
-  Mutex.unlock cache_mutex;
-  Hashtbl.fold (fun b c acc -> (b, c) :: acc) counts []
+      | Built { exec_backend = b; _ } ->
+          let c = Option.value ~default:0 (List.assoc_opt b counts) in
+          (b, c + 1) :: List.remove_assoc b counts
+      | Not_vectorizable | Quarantined _ -> counts)
+    cache []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let measured_array samples = Array.of_list (List.map (fun s -> s.measured) samples)

@@ -90,7 +90,7 @@ val health_reset : unit -> unit
 
 (** {2 Sample cache introspection} *)
 
-type cache_stats = { hits : int; misses : int; entries : int }
+type cache_stats = Vpar.Memo.stats = { hits : int; misses : int; entries : int }
 
 (** Hit/miss counters since the last {!cache_clear}, plus the live entry
     count (one per cached (kernel, machine, transform, config) key,

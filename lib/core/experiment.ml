@@ -33,10 +33,7 @@ let fitted_row ~method_ ~features ~target label samples =
    refits per call, so predictions are memoized on a content key the same
    way [Dataset.build] memoizes samples.  Only the plain float payloads
    feed the key ([Dataset.sample] holds kernels with closures). *)
-let loocv_cache : (string, float array) Hashtbl.t = Hashtbl.create 32
-let loocv_mutex = Mutex.create ()
-let loocv_hits = Atomic.make 0
-let loocv_misses = Atomic.make 0
+let loocv_cache : (string, float array) Vpar.Memo.t = Vpar.Memo.create ()
 
 let loocv_key ~method_ ~features ~target samples =
   let b = Buffer.create 8192 in
@@ -56,38 +53,12 @@ let loocv_key ~method_ ~features ~target samples =
   Digest.string (Buffer.contents b)
 
 let loocv_predictions ~method_ ~features ~target samples =
-  let key = loocv_key ~method_ ~features ~target samples in
-  let cached =
-    Mutex.lock loocv_mutex;
-    let v = Hashtbl.find_opt loocv_cache key in
-    Mutex.unlock loocv_mutex;
-    v
-  in
-  match cached with
-  | Some predicted ->
-      Atomic.incr loocv_hits;
-      predicted
-  | None ->
-      Atomic.incr loocv_misses;
-      let predicted = Crossval.loocv ~method_ ~features ~target samples in
-      Mutex.lock loocv_mutex;
-      Hashtbl.replace loocv_cache key predicted;
-      Mutex.unlock loocv_mutex;
-      predicted
+  Vpar.Memo.find_or_compute loocv_cache
+    (loocv_key ~method_ ~features ~target samples)
+    (fun () -> Crossval.loocv ~method_ ~features ~target samples)
 
-let loocv_cache_stats () =
-  Mutex.lock loocv_mutex;
-  let entries = Hashtbl.length loocv_cache in
-  Mutex.unlock loocv_mutex;
-  { Dataset.hits = Atomic.get loocv_hits;
-    misses = Atomic.get loocv_misses; entries }
-
-let loocv_cache_clear () =
-  Mutex.lock loocv_mutex;
-  Hashtbl.reset loocv_cache;
-  Mutex.unlock loocv_mutex;
-  Atomic.set loocv_hits 0;
-  Atomic.set loocv_misses 0
+let loocv_cache_stats () = Vpar.Memo.stats loocv_cache
+let loocv_cache_clear () = Vpar.Memo.clear loocv_cache
 
 let loocv_row ~method_ ~features ~target label samples =
   let predicted = loocv_predictions ~method_ ~features ~target samples in

@@ -823,10 +823,10 @@ let affine_safe (st : Flat.state) =
           !safe
         end)
 
-(* With a [Safe]-covering static license the unchecked body is selected once
-   at prepare time; [affine_safe] stays on per bind as a mandatory
-   cross-check.  A license the bind-time proof refutes is a hard failure —
-   an unsound certificate must never cause a silent unguarded run. *)
+(* [affine_safe] picks the body on every bind, licensed or not.  A
+   [Safe]-covering static license the bind-time proof refutes is a hard
+   failure: an unsound certificate must surface, not hide behind the
+   guarded body. *)
 let run_bound ?license (st : Flat.state) (compiled : t) =
   let reds = st.prog.reds in
   for j = 0 to Array.length reds - 1 do

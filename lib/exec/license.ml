@@ -4,14 +4,14 @@
    A license is plain data — one verdict per access descriptor of a lowered
    program, in access-id order (one id per memory instruction, body order).
    The certifier proves its verdicts parametrically in the problem size and
-   the runtime parameters and hands the license to [Backend.prepare]; the
-   closure tier then selects the unchecked body once, at prepare time,
-   instead of re-deciding per bind.  The bind-time interval proof
-   ([Closure.affine_safe]) stays on as a mandatory cross-check: a [Safe]
-   license contradicted by the bind-time check is a hard failure, never a
-   silent unsafe run.  This module lives in [lib/exec] (not the analysis
-   library) so the execution tiers never depend on the prover — only on the
-   data it emits. *)
+   the runtime parameters and hands the license to [Backend.prepare].  The
+   closure tier still decides on every bind: [Closure.run_bound] runs the
+   unchecked body exactly when the bind-time interval proof
+   ([Closure.affine_safe]) holds.  A license only changes what a failed
+   proof means: a [Safe] license the bind-time check contradicts is a hard
+   failure, not a quiet fall-back to the guarded body.  This module lives
+   in [lib/exec] (not the analysis library) so the execution tiers never
+   depend on the prover — only on the data it emits. *)
 
 type verdict = Safe | Unsafe | Unknown
 

@@ -2,10 +2,10 @@
 
     Plain data emitted by the relational certifier ([Analysis.Cert]): one
     verdict per access descriptor of the lowered program, in access-id
-    order.  [Backend.prepare] takes an optional license and the closure
-    tier selects the guard-free body once at prepare time when
-    [guard_free] holds, keeping the bind-time interval proof as a
-    mandatory cross-check. *)
+    order.  [Backend.prepare] takes an optional license.  The closure tier
+    picks its body on every bind from the bind-time interval proof; when
+    [guard_free] holds and that proof fails, the contradiction is a hard
+    failure instead of a guarded run. *)
 
 type verdict = Safe | Unsafe | Unknown
 

@@ -1,7 +1,8 @@
 (* Least squares by Householder QR with column pivoting disabled (the fitting
-   matrices here are small and well scaled; rank deficiency is handled by
-   regularizing the trailing diagonal).  Element (i, j) of an m x n matrix
-   is [data.(i * n + j)]. *)
+   matrices here are small and well scaled).  A rank-deficient matrix
+   raises [Singular]; a caller that must fit anyway retries with
+   [lstsq_ridge], as [Linmodel.l2_solve] does.  Element (i, j) of an
+   m x n matrix is [data.(i * n + j)]. *)
 
 exception Singular of string
 

@@ -29,8 +29,10 @@ let shuffle state arr =
   done
 
 (* Closed-form coordinate minimizer: minimize over the new value s of
-   beta_i of  1/2 q (s - b)^2 + g (s - b) + eps |s|,  clipped to [-C, C]. *)
-let coordinate_min ~q ~g ~b ~eps ~c =
+   beta_i of  1/2 q (s - b)^2 + g (s - b) + eps |s|,  clipped to [-C, C].
+   Inlined, so a coordinate step boxes neither its arguments nor its
+   result. *)
+let[@inline] coordinate_min ~q ~g ~b ~eps ~c =
   let s =
     let sp = b -. ((g +. eps) /. q) in
     if sp > 0.0 then sp

@@ -1,13 +1,19 @@
 (** A fixed-size pool of worker domains with deterministic fork-join
     fan-out: results are returned in submission order regardless of which
-    worker computed them.  The submitting domain helps drain the queue, so
-    a pool of [size] workers uses [size + 1] cores during a map.  Parallel
-    calls made from inside a worker run sequentially (no deadlock on the
-    fixed pool), so nested [parallel_map] is safe for pure functions.
+    worker computed them.
+
+    Every fan-out ({!parallel_map}'s index chunks, each retry round of
+    {!supervised_map}) makes one placement decision and passes one
+    barrier.  It runs inline in the calling domain in sequential mode,
+    from inside a worker (so nested maps of pure functions cannot deadlock
+    the fixed pool), on the default pool of a single-core host, and on a
+    degraded pool.  Otherwise the barrier replaces workers lost to
+    (injected) crashes, enqueues the jobs, has the submitting domain help
+    drain the queue (a pool of [size] workers uses [size + 1] cores) and
+    waits for the last job.  The join hook runs once after each fan-out.
 
     The pool is supervised: task failures are isolated with their index
-    and backtrace, worker domains lost to (injected) crashes are replaced
-    before the next fan-out, and {!supervised_map} adds bounded retry and
+    and backtrace, and {!supervised_map} adds bounded retry and
     cooperative per-task timeouts on top. *)
 
 type t
@@ -113,7 +119,8 @@ type stats = {
   st_timeouts : int;  (** tasks cancelled at their deadline *)
   st_retries : int;  (** task re-executions after a failure *)
   st_failures : int;  (** tasks that exhausted their retry budget *)
-  st_degraded : int;  (** fan-outs that fell back to sequential *)
+  st_degraded : int;
+      (** fan-outs run inline because their pool could spawn no worker *)
 }
 
 val stats : unit -> stats

@@ -32,16 +32,14 @@ type config = {
   deadline_s : float;  (** virtual seconds per request *)
   rate : float;  (** per-client tokens per virtual second; <= 0 = off *)
   burst : float;
-  breaker_threshold : int;  (** consecutive stage faults before opening *)
-  breaker_cooldown : int;  (** requests an open breaker stays open *)
   journal_path : string option;  (** serving-stats journal for crash-only restart *)
-  journal_every : int;  (** answered requests between journal checkpoints *)
   model_path : string option;  (** initial model; [None] serves the baseline *)
 }
 
 (** neon-a57, cert features, n = 32000, queue 64, 20ms virtual deadline,
-    200 tokens/s burst 50, breaker 5/8, journal every 32, no journal, no
-    model (baseline). *)
+    200 tokens/s burst 50, no journal, no model (baseline).  Every engine
+    opens a stage's breaker after 5 consecutive faults for 8 requests and,
+    with a journal, checkpoints every 32 answered requests. *)
 val default_config : config
 
 (** Cumulative serving counters.  In sequential use every request is

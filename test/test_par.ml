@@ -1,5 +1,5 @@
-(* PR 2's performance layer: the domain pool, the memoized sample
-   pipeline, and the analytic O(n·p²) L2 LOOCV fast path. *)
+(* The performance layer: the domain pool, the memo table, the memoized
+   sample pipeline, and the analytic O(n·p²) L2 LOOCV fast path. *)
 
 open Costmodel
 
@@ -91,6 +91,91 @@ let prop_parallel_map_identity =
       let pool = (Lazy.force prop_pools).(size - 1) in
       let f x = (3 * x) + 1 in
       Vpar.Pool.parallel_map ~pool ~chunk f l = List.map f l)
+
+(* Every non-empty fan-out, inline or pooled, is one join point: the
+   sanitizer's pool-join verification runs once per call. *)
+let test_join_hook_once_per_fanout () =
+  let was = Vexec.Sanitize.active () in
+  Vexec.Sanitize.set_enabled true;
+  let pool = Vpar.Pool.create ~size:2 in
+  Fun.protect
+    ~finally:(fun () ->
+      Vpar.Pool.shutdown pool;
+      Vpar.Pool.set_sequential false;
+      Vexec.Sanitize.set_enabled was)
+    (fun () ->
+      let l = List.init 20 Fun.id in
+      List.iter
+        (fun (mode, sequential) ->
+          Vpar.Pool.set_sequential sequential;
+          let once label run =
+            let before = Vexec.Sanitize.verification_count () in
+            ignore (run ());
+            check_int (label ^ " " ^ mode) (before + 1)
+              (Vexec.Sanitize.verification_count ())
+          in
+          once "parallel_map" (fun () ->
+              Vpar.Pool.parallel_map ~pool ~chunk:3 succ l);
+          once "supervised_map" (fun () ->
+              Vpar.Pool.supervised_map ~pool succ l))
+        [ ("inline", true); ("pooled", false) ])
+
+(* --- memo table ------------------------------------------------------------ *)
+
+let test_memo_miss_then_hit () =
+  let m = Vpar.Memo.create () in
+  let calls = ref 0 in
+  let compute () =
+    incr calls;
+    42
+  in
+  check_int "miss computes" 42 (Vpar.Memo.find_or_compute m "k" compute);
+  check_int "hit returns it" 42 (Vpar.Memo.find_or_compute m "k" compute);
+  check_int "one computation" 1 !calls;
+  let s = Vpar.Memo.stats m in
+  check_int "one hit" 1 s.Vpar.Memo.hits;
+  check_int "one miss" 1 s.misses;
+  check_int "one entry" 1 s.entries
+
+let test_memo_raise_publishes_nothing () =
+  let m = Vpar.Memo.create () in
+  (match Vpar.Memo.find_or_compute m "k" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "expected the computation's exception"
+  | exception Failure _ -> ());
+  check_bool "nothing published" false (Vpar.Memo.mem m "k");
+  check_int "next lookup recomputes" 7
+    (Vpar.Memo.find_or_compute m "k" (fun () -> 7));
+  check_int "both lookups missed" 2 (Vpar.Memo.stats m).misses
+
+let test_memo_clear () =
+  let m = Vpar.Memo.create () in
+  List.iter
+    (fun k -> ignore (Vpar.Memo.find_or_compute m k (fun () -> k)))
+    [ 1; 2; 1 ];
+  Vpar.Memo.clear m;
+  let s = Vpar.Memo.stats m in
+  check_int "no entries" 0 s.Vpar.Memo.entries;
+  check_int "hits zeroed" 0 s.hits;
+  check_int "misses zeroed" 0 s.misses;
+  check_bool "entry gone" false (Vpar.Memo.mem m 1)
+
+let test_memo_concurrent_cold_key () =
+  let pool = Vpar.Pool.create ~size:2 in
+  Fun.protect
+    ~finally:(fun () -> Vpar.Pool.shutdown pool)
+    (fun () ->
+      let m = Vpar.Memo.create () in
+      let got =
+        Vpar.Pool.parallel_map ~pool ~chunk:1
+          (fun _ ->
+            Vpar.Memo.find_or_compute m "cold" (fun () ->
+                Array.init 8 float_of_int))
+          (List.init 64 Fun.id)
+      in
+      check_bool "one value" true (List.for_all (( = ) (List.hd got)) got);
+      let s = Vpar.Memo.stats m in
+      check_int "one entry" 1 s.Vpar.Memo.entries;
+      check_int "every lookup counted" 64 (s.hits + s.misses))
 
 (* --- analytic LOOCV vs naive refits ------------------------------------------ *)
 
@@ -251,6 +336,14 @@ let tests =
     Alcotest.test_case "pool sequential flag" `Quick test_pool_sequential_flag;
     Alcotest.test_case "pool default" `Quick test_pool_default;
     QCheck_alcotest.to_alcotest prop_parallel_map_identity;
+    Alcotest.test_case "join hook once per fan-out" `Quick
+      test_join_hook_once_per_fanout;
+    Alcotest.test_case "memo miss then hit" `Quick test_memo_miss_then_hit;
+    Alcotest.test_case "memo raise publishes nothing" `Quick
+      test_memo_raise_publishes_nothing;
+    Alcotest.test_case "memo clear" `Quick test_memo_clear;
+    Alcotest.test_case "memo concurrent cold key" `Quick
+      test_memo_concurrent_cold_key;
     Alcotest.test_case "analytic loocv matches naive (TSVC)" `Quick
       test_analytic_loocv_matches_naive_tsvc;
     Alcotest.test_case "nnls loocv unchanged" `Quick test_nnls_loocv_unchanged;
