@@ -12,6 +12,18 @@ val create : config -> t
     @raise Invalid_argument on a negative address. *)
 val access : t -> int -> bool
 
+(** {!access}, reporting the way that holds the address's line afterwards
+    as a flat index [w] ([set * ways + way]): [w] on a hit, [lnot w] on a
+    miss.
+    @raise Invalid_argument on a negative address. *)
+val access_way : t -> int -> int
+
+(** [rehit t ~way ~line] is the hit of an access to [line] when way [way]
+    (a flat index from {!access_way}) still holds it: it counts and stamps
+    exactly as that access would, and returns true.  Otherwise it changes
+    nothing and returns false. *)
+val rehit : t -> way:int -> line:int -> bool
+
 val accesses : t -> int
 val misses : t -> int
 val reset_stats : t -> unit

@@ -44,40 +44,58 @@ type stats = {
       (* line_bytes * (misses at the last cache level) / iterations *)
 }
 
-(* Build the hierarchy configs from a machine's memory description. *)
+(* The cache configs for a machine's memory description: L1, and the levels
+   an L1 miss filters down through. *)
 let hierarchy_of (mem : Descr.mem) =
-  let l1 = { Cache.size_bytes = mem.l1_bytes; ways = 4; line_bytes = mem.line_bytes } in
-  let l2 = { Cache.size_bytes = mem.l2_bytes; ways = 8; line_bytes = mem.line_bytes } in
-  if mem.l3_bytes > 0 then
-    [ l1; l2;
-      { Cache.size_bytes = mem.l3_bytes; ways = 16; line_bytes = mem.line_bytes } ]
-  else [ l1; l2 ]
+  let cfg size_bytes ways = { Cache.size_bytes; ways; line_bytes = mem.line_bytes } in
+  ( cfg mem.l1_bytes 4,
+    if mem.l3_bytes > 0 then [ cfg mem.l2_bytes 8; cfg mem.l3_bytes 16 ]
+    else [ cfg mem.l2_bytes 8 ] )
 
 (* Run the scalar kernel at size [n] on the process's default backend, with
    every access fed through the hierarchy.  A first untimed pass warms the
    caches (measurements in the paper are steady-state over many
-   repetitions); the second pass counts. *)
+   repetitions); the second pass counts.
+
+   Most accesses land in the L1 line their array slot touched last, so each
+   slot remembers that line and the L1 way it went to.  An access inside the
+   line is an L1 hit when the way still holds it ([Cache.rehit]): the line
+   leaves its way only when its set installs another line there, and a hit
+   changes nothing but the way's stamp.  Every other access walks the
+   hierarchy and records its line and way. *)
 let simulate (mem : Descr.mem) ~n (k : Kernel.t) =
   let env = Vinterp.Env.create ~seed:42 ~n k in
   let l = layout ~n ~line_bytes:mem.line_bytes k in
-  let h = Cache.hierarchy (hierarchy_of mem) in
-  let total = ref 0 in
-  let dram = ref 0 in
-  let nlevels = List.length h.Cache.levels in
+  let l1_cfg, lower_cfgs = hierarchy_of mem in
+  let l1 = Cache.create l1_cfg and lower = Cache.hierarchy lower_cfgs in
+  let line_bytes = mem.line_bytes in
+  let slots = Array.length l.base in
+  let line_of = Array.make slots (-1) and way_of = Array.make slots (-1) in
   let trace slot idx _write =
-    incr total;
-    if Cache.hierarchy_access h (address l ~slot ~idx) >= nlevels then incr dram
+    let addr = address l ~slot ~idx in
+    let line = Array.unsafe_get line_of slot in
+    let offset = addr - (line * line_bytes) in
+    if
+      not
+        (offset >= 0
+        && offset < line_bytes
+        && Cache.rehit l1 ~way:(Array.unsafe_get way_of slot) ~line)
+    then begin
+      let w = Cache.access_way l1 addr in
+      if w < 0 then ignore (Cache.hierarchy_access lower addr);
+      Array.unsafe_set line_of slot (addr / line_bytes);
+      Array.unsafe_set way_of slot (if w < 0 then lnot w else w)
+    end
   in
   let prepared = Vexec.Backend.prepare ~trace (Vexec.Backend.default ()) k in
+  let levels = l1 :: lower.Cache.levels in
   (* Warm-up pass. *)
   ignore (Vexec.Backend.run_in prepared env);
-  List.iter Cache.reset_stats h.Cache.levels;
-  total := 0;
-  dram := 0;
+  List.iter Cache.reset_stats levels;
   (* Measured pass. *)
   ignore (Vexec.Backend.run_in prepared env);
   let iters = float_of_int (max 1 (Kernel.total_iterations ~n k)) in
-  let levels =
+  let per_level =
     List.mapi
       (fun i c ->
         let lvl =
@@ -88,15 +106,14 @@ let simulate (mem : Descr.mem) ~n (k : Kernel.t) =
           | _ -> Memmodel.Dram
         in
         (lvl, Cache.accesses c, Cache.misses c))
-      h.Cache.levels
+      levels
   in
-  let last_level_misses =
-    match List.rev h.Cache.levels with c :: _ -> Cache.misses c | [] -> 0
-  in
+  (* Every access reaches L1, and the last level's misses go to DRAM. *)
+  let last_level_misses = Cache.misses (List.nth levels (List.length levels - 1)) in
   {
-    total_accesses = !total;
-    per_level = levels;
-    dram_accesses = !dram;
+    total_accesses = Cache.accesses l1;
+    per_level;
+    dram_accesses = last_level_misses;
     bytes_moved_per_elem =
       float_of_int (last_level_misses * mem.line_bytes) /. iters;
   }
