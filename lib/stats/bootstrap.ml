@@ -14,15 +14,16 @@ let make_rng seed =
     !state mod bound
 
 (* The 95% percentile CI of a paired statistic under resampling with
-   replacement, from a fixed seed. *)
+   replacement, from a fixed seed.  Every resample is drawn into the same
+   pair of scratch arrays, so [stat] must not keep them. *)
 let paired_ci ~iterations stat xs ys =
   let n = Array.length xs in
   if n < 3 || n <> Array.length ys then invalid_arg "Bootstrap.paired_ci";
   let alpha = 0.05 in
   let rand = make_rng 7 in
+  let bx = Array.make n 0.0 and by = Array.make n 0.0 in
   let stats =
     Array.init iterations (fun _ ->
-        let bx = Array.make n 0.0 and by = Array.make n 0.0 in
         for i = 0 to n - 1 do
           let j = rand n in
           bx.(i) <- xs.(j);
@@ -30,7 +31,7 @@ let paired_ci ~iterations stat xs ys =
         done;
         stat bx by)
   in
-  Array.sort compare stats;
+  Array.sort Float.compare stats;
   let pick q =
     let idx =
       int_of_float (q *. float_of_int (iterations - 1)) |> max 0

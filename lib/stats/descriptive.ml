@@ -3,7 +3,11 @@
 let mean xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Descriptive.mean: empty";
-  Array.fold_left ( +. ) 0.0 xs /. float_of_int n
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    sum := !sum +. xs.(i)
+  done;
+  !sum /. float_of_int n
 
 let variance xs =
   let n = Array.length xs in

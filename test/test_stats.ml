@@ -131,11 +131,38 @@ let test_bootstrap_rejects_tiny () =
   Alcotest.check_raises "too few" (Invalid_argument "Bootstrap.paired_ci")
     (fun () -> ignore (Bs.pearson_ci [| 1.0; 2.0 |] [| 1.0; 2.0 |]))
 
+(* The intervals, bit for bit: [%h] of each bound and of both means, as
+   recorded before the resamples shared scratch arrays and the sort moved to
+   [Float.compare].  The inputs are exact small integers and quarters, so
+   the bits do not depend on the host's libm.  A NaN sorts first. *)
+let test_bootstrap_pinned_bits () =
+  let x = Array.init 40 (fun i -> float_of_int (i * 37 mod 101)) in
+  let y = Array.mapi (fun i v -> v +. (float_of_int (i * 53 mod 17) /. 4.0)) x in
+  let y_nan = Array.mapi (fun i v -> if i = 7 then Float.nan else v) y in
+  let z = Array.init 12 (fun i -> float_of_int (i mod 3)) in
+  let w = Array.init 12 (fun i -> float_of_int ((i * 5) mod 7) -. 3.0) in
+  List.iter
+    (fun (name, iterations, xs, ys, want) ->
+      let lo, hi = Bs.pearson_ci ~iterations xs ys in
+      Alcotest.(check string) name want
+        (Printf.sprintf "%h %h mean %h %h" lo hi (D.mean xs) (D.mean ys)))
+    [ ( "affine", 1000, x, y,
+        "0x1.ff6531a6a9c41p-1 0x1.ffbaffa803711p-1 mean 0x1.8eccccccccccdp+5 \
+         0x1.9de6666666666p+5" );
+      ( "affine, 400 resamples", 400, x, y,
+        "0x1.ff5e0b6802274p-1 0x1.ffbc4d75d58efp-1 mean 0x1.8eccccccccccdp+5 \
+         0x1.9de6666666666p+5" );
+      ( "a NaN", 400, x, y_nan,
+        "nan 0x1.ffb87e359317cp-1 mean 0x1.8eccccccccccdp+5 nan" );
+      ( "ties", 1000, z, w,
+        "0x1.fc3b835528247p-3 0x1.a53b8d6ec312p-1 mean 0x1p+0 0x0p+0" ) ]
+
 let bootstrap_tests =
   [ Alcotest.test_case "bootstrap deterministic" `Quick test_bootstrap_deterministic;
     Alcotest.test_case "bootstrap brackets" `Quick test_bootstrap_brackets_point_estimate;
     Alcotest.test_case "bootstrap tightens" `Quick test_bootstrap_tightens_with_n;
     Alcotest.test_case "bootstrap perfect" `Quick test_bootstrap_perfect_correlation;
-    Alcotest.test_case "bootstrap tiny" `Quick test_bootstrap_rejects_tiny ]
+    Alcotest.test_case "bootstrap tiny" `Quick test_bootstrap_rejects_tiny;
+    Alcotest.test_case "bootstrap pinned bits" `Quick test_bootstrap_pinned_bits ]
 
 let tests = tests @ bootstrap_tests
