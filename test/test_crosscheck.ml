@@ -94,6 +94,44 @@ let test_registry_crosscheck_gate () =
     (2 * List.length vfs * List.length ks)
     (List.length configs)
 
+(* A kernel's configurations share one reference run per size; every
+   verdict must equal the one a configuration gets when it validates from
+   scratch, as [Depsreport.validates] does. *)
+let test_shared_reference_verdicts () =
+  let from_scratch k (tr : A.Driver.transform) vf =
+    let legal, forced =
+      match tr with
+      | A.Driver.Tllv ->
+          ( Vdeps.Legality.llv_ok k ~vf,
+            Result.map_error Vvect.Llv.error_to_string
+              (Vvect.Llv.vectorize ~vf ~force:true k) )
+      | A.Driver.Tslp ->
+          ( Vdeps.Legality.slp_ok k ~vf,
+            Result.map_error Vvect.Slp.error_to_string
+              (Vvect.Slp.vectorize ~vf ~force:true k) )
+      | A.Driver.Tunroll -> Alcotest.fail "unroll is not cross-checked"
+    in
+    match forced with
+    | Error reason -> A.Depsreport.Inapplicable reason
+    | Ok vk -> (
+        match (legal, A.Depsreport.validates k vk) with
+        | true, true -> A.Depsreport.True_positive
+        | true, false -> A.Depsreport.False_positive
+        | false, true -> A.Depsreport.False_negative
+        | false, false -> A.Depsreport.True_negative)
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (c : A.Depsreport.config) ->
+          check
+            (A.Depsreport.config_to_string c ^ " = from scratch")
+            true
+            (c.c_verdict = from_scratch k c.c_transform c.c_vf))
+        (A.Depsreport.crosscheck_kernel k))
+    (Tsvc.Registry.kernels
+    @ List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) Vapps.Registry.as_tsvc_entries)
+
 (* --- determinism across worker counts ---------------------------------------- *)
 
 (* [vecmodel deps --json] must be byte-stable whatever VECMODEL_JOBS says:
@@ -137,6 +175,8 @@ let tests =
     QCheck_alcotest.to_alcotest test_interchange_prop;
     Alcotest.test_case "registry crosscheck gate" `Quick
       test_registry_crosscheck_gate;
+    Alcotest.test_case "shared reference keeps every verdict" `Quick
+      test_shared_reference_verdicts;
     Alcotest.test_case "deps json determinism" `Quick
       test_deps_json_determinism;
     Alcotest.test_case "reduction admitted end-to-end" `Quick
