@@ -30,10 +30,7 @@ let loocv_l2_speedup ~features samples (arr : Dataset.sample array) =
   let rows = List.map (Linmodel.features_of features) samples in
   let ys = Dataset.measured_array samples in
   let x = Vlinalg.Mat.of_rows rows in
-  let lambda, weights =
-    try (0.0, Vlinalg.Qr.lstsq x ys)
-    with Vlinalg.Qr.Singular _ -> (1e-6, Vlinalg.Qr.lstsq_ridge ~lambda:1e-6 x ys)
-  in
+  let lambda, weights = Vlinalg.Qr.lstsq_or_ridge ~lambda:1e-6 x ys in
   let h = Vlinalg.Qr.leverages ~lambda x in
   let fitted = Vlinalg.Mat.mat_vec x weights in
   Array.mapi

@@ -63,9 +63,7 @@ let dot w f =
   done;
   !acc
 
-let l2_solve x ys =
-  try Vlinalg.Qr.lstsq x ys
-  with Vlinalg.Qr.Singular _ -> Vlinalg.Qr.lstsq_ridge ~lambda:1e-6 x ys
+let l2_solve x ys = snd (Vlinalg.Qr.lstsq_or_ridge ~lambda:1e-6 x ys)
 
 (* Huber-IRLS: iteratively reweighted least squares under the Huber loss
    (tuning constant k = 1.345 for 95% efficiency at the Gaussian).  The

@@ -1,7 +1,7 @@
 (* Least squares by Householder QR with column pivoting disabled (the fitting
    matrices here are small and well scaled).  A rank-deficient matrix
    raises [Singular]; a caller that must fit anyway retries with
-   [lstsq_ridge], as [Linmodel.l2_solve] does.  Element (i, j) of an
+   [lstsq_ridge], as [lstsq_or_ridge] does.  Element (i, j) of an
    m x n matrix is [data.(i * n + j)]. *)
 
 exception Singular of string
@@ -147,3 +147,28 @@ let lstsq_ridge ~lambda a b =
   if lambda < 0.0 then invalid_arg "Qr.lstsq_ridge: negative lambda";
   let baug = Array.append b (Array.make (Mat.cols a) 0.0) in
   lstsq (augment ~lambda a) baug
+
+(* True when [lstsq a] must raise [Singular]: A has at least as many rows as
+   columns, some column is exactly zero, and every entry lies within 1e100
+   of zero.  A reflection maps a zero column to a zero column (its dot
+   product with the Householder vector is zero), so that column's pivot
+   stays zero and back-substitution raises.  The bound keeps every
+   intermediate of the factorization finite, which the argument needs; a
+   NaN or an infinity fails it. *)
+let has_zero_column a =
+  let n = Mat.cols a in
+  let bounded = ref (Mat.rows a >= n) in
+  let zero = Array.make n true in
+  Array.iteri
+    (fun i v ->
+      if not (Float.abs v <= 1e100) then bounded := false;
+      if v <> 0.0 then zero.(i mod n) <- false)
+    a.Mat.data;
+  !bounded && Array.exists Fun.id zero
+
+(* Plain least squares, or ridge [lambda] when A is rank deficient; returns
+   the lambda used (0.0 for the plain solve).  A design that cannot pass the
+   plain solve skips its factorization. *)
+let lstsq_or_ridge ~lambda a b =
+  if has_zero_column a then (lambda, lstsq_ridge ~lambda a b)
+  else try (0.0, lstsq a b) with Singular _ -> (lambda, lstsq_ridge ~lambda a b)

@@ -240,6 +240,41 @@ let test_fits_bit_exact () =
   Alcotest.check_raises "plain leverages" (Qr.Singular "zero pivot at column 2")
     (fun () -> ignore (Qr.leverages x))
 
+(* [lstsq_or_ridge] skips the plain solve of a design with an all-zero
+   column; every design must get the lambda and the weight bits that trying
+   [lstsq] first and falling back to [lstsq_ridge] gives.  With an infinity
+   in an earlier column the plain solve does not raise (NaN reaches every
+   pivot), so the shortcut must not fire there. *)
+let test_zero_column_shortcut () =
+  let st = Random.State.make [| 13 |] in
+  let design poke =
+    mat_init 30 6 (fun i j ->
+        match poke i j with
+        | Some v -> v
+        | None -> if j = 2 then 0.0 else Random.State.float st 2.0 -. 1.0)
+  in
+  let y = Array.init 30 (fun i -> float_of_int (i mod 7) /. 3.0) in
+  let text (lambda, w) = Printf.sprintf "%h: %s" lambda (hex w) in
+  let after_infinities =
+    design (fun i j -> if j = 0 && i < 2 then Some Float.infinity else None)
+  in
+  check "plain solve passes after infinities" true
+    (match Qr.lstsq after_infinities y with
+    | _ -> true
+    | exception Qr.Singular _ -> false);
+  List.iter
+    (fun (label, a) ->
+      let tried =
+        try (0.0, Qr.lstsq a y)
+        with Qr.Singular _ -> (1e-6, Qr.lstsq_ridge ~lambda:1e-6 a y)
+      in
+      Alcotest.(check string) label (text tried)
+        (text (Qr.lstsq_or_ridge ~lambda:1e-6 a y)))
+    [ ("zero column", design (fun _ _ -> None));
+      ( "zero column and a NaN",
+        design (fun i j -> if i = 4 && j = 3 then Some Float.nan else None) );
+      ("zero column after infinities", after_infinities) ]
+
 let tests =
   [ Alcotest.test_case "mat basics" `Quick test_mat_basics;
     Alcotest.test_case "mat bounds" `Quick test_mat_bounds;
@@ -259,4 +294,5 @@ let tests =
     Alcotest.test_case "svr recovery" `Quick test_svr_linear_recovery;
     Alcotest.test_case "svr epsilon tube" `Quick test_svr_epsilon_insensitive;
     Alcotest.test_case "svr deterministic" `Quick test_svr_deterministic;
-    Alcotest.test_case "fits bit-exact on F1's design" `Quick test_fits_bit_exact ]
+    Alcotest.test_case "fits bit-exact on F1's design" `Quick test_fits_bit_exact;
+    Alcotest.test_case "zero-column shortcut" `Quick test_zero_column_shortcut ]
