@@ -4,17 +4,20 @@
    valid across any number of [Flat.bind] calls. *)
 
 type t = { checked : unit -> unit; unchecked : unit -> unit }
-(** The nest compiled twice: [checked] guards every memory access;
-    [unchecked] elides the guards on affine accesses and may only run when
-    [affine_safe] holds for the current binding.  Indirect accesses stay
-    guarded in both. *)
+(** The nest compiled twice: [checked] computes every index through the
+    access's index closure and guards it; [unchecked] elides the guards on
+    affine accesses and may only run when [affine_safe] holds for the
+    current binding.  Indirect accesses stay guarded in both. *)
 
 val compile : ?trace:(int -> int -> bool -> unit) -> Flat.state -> t
 (** Compile the full loop nest (body + reduction folds) of the state's
     program.  The result mutates the state's bound environment when run.
-    With [trace], only the guarded nest is compiled, and it fills both
-    fields; it calls [trace slot idx is_write] before each memory access's
-    bounds check, in body order, with [slot] a {!Program.array_slot}. *)
+    Loads and stores never convert ({!Program.lower} emits conversions as
+    instructions); [unchecked] inlines indirect and single-term affine
+    indices.  With [trace], only the guarded nest is compiled, with the
+    hook in its index closures, and it fills both fields; it calls
+    [trace slot idx is_write] before each memory access's bounds check, in
+    body order, with [slot] a {!Program.array_slot}. *)
 
 val affine_safe : Flat.state -> bool
 (** Whether every affine access of the bound state provably stays inside its

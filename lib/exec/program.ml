@@ -17,7 +17,11 @@
        iteration entirely;
      - operand conversions ([float_of_int], [int_of_float]) become
        explicit instructions, cached per (register, kind), so the dynamic
-       [value] boxing of the interpreter disappears.
+       [value] boxing of the interpreter disappears;
+     - every load and store uses the register file of its array's storage:
+       an access typed otherwise becomes the same-kind access plus an
+       explicit conversion, after a load and before a store, where
+       [Env.read_*]/[write_*] convert.
 
    The semantics is exactly [Vinterp.Interp]: same operator definitions,
    same trapping behaviour (a [Trap] instruction, a trapping select, or an
@@ -60,7 +64,6 @@ type aterm = { t_depth : int; t_c0 : int; t_c1 : int }
 type access = {
   acc_arr : int;  (* array slot *)
   acc_name : string;  (* for Out_of_bounds reporting *)
-  acc_float : bool;  (* storage kind of the array slot *)
   acc_ind : int;  (* int register holding an indirect index; -1 = affine *)
   acc_ndims : int;
   acc_rel : bool * bool;  (* rel_n per dim (snd unused for 1-d) *)
@@ -141,6 +144,17 @@ let trap_id b msg =
 
 let emit_trap b msg = emit b (Trap (trap_id b msg))
 
+(* Convert slot [a] into a fresh slot of the other register file. *)
+let f_of_i b a =
+  let d = fresh_f b in
+  emit b (F_of_i { d; a });
+  d
+
+let i_of_f b a =
+  let d = fresh_i b in
+  emit b (I_of_f { d; a });
+  d
+
 let flit b v =
   let bits = Int64.bits_of_float v in
   match Hashtbl.find_opt b.flit_cache bits with
@@ -205,8 +219,7 @@ let lower_f b ~depth_of ~pos_repr (op : Instr.operand) =
           match Hashtbl.find_opt b.conv_cache (r, true) with
           | Some s' -> Slot s'
           | None ->
-              let d = fresh_f b in
-              emit b (F_of_i { d; a = s });
+              let d = f_of_i b s in
               Hashtbl.add b.conv_cache (r, true) d;
               Slot d)
       | RNone -> Slot (flit b 0.0) (* store positions hold V_int 0 *))
@@ -229,8 +242,7 @@ let lower_i b ~depth_of ~pos_repr (op : Instr.operand) =
           match Hashtbl.find_opt b.conv_cache (r, false) with
           | Some s' -> Slot s'
           | None ->
-              let d = fresh_i b in
-              emit b (I_of_f { d; a = s });
+              let d = i_of_f b s in
               Hashtbl.add b.conv_cache (r, false) d;
               Slot d)
       | RNone -> Slot (ilit b 0))
@@ -321,12 +333,13 @@ let lower (k : Kernel.t) =
   in
   let body = Array.of_list k.body in
   let pos_repr = Array.make (Array.length body) RNone in
-  (* Lower one address to an access descriptor id. *)
+  (* Lower one address to an access descriptor id, paired with whether its
+     array is stored as floats. *)
   let lower_access (addr : Instr.addr) =
+    let slot = arr_slot (Instr.addr_array addr) in
     let acc =
       match addr with
       | Instr.Affine { arr; dims } ->
-          let slot = arr_slot arr in
           let d0, d1, ndims =
             match dims with
             | [ d ] -> (d, Instr.dim_const 0, 1)
@@ -371,7 +384,6 @@ let lower (k : Kernel.t) =
           {
             acc_arr = slot;
             acc_name = arr;
-            acc_float = arr_float.(slot);
             acc_ind = -1;
             acc_ndims = ndims;
             acc_rel = (d0.Instr.rel_n, d1.Instr.rel_n);
@@ -380,7 +392,6 @@ let lower (k : Kernel.t) =
             acc_terms = Array.of_list aterms;
           }
       | Instr.Indirect { arr; idx } ->
-          let slot = arr_slot arr in
           let ireg =
             match idx with
             | Instr.Imm_float _ ->
@@ -391,7 +402,6 @@ let lower (k : Kernel.t) =
           {
             acc_arr = slot;
             acc_name = arr;
-            acc_float = arr_float.(slot);
             acc_ind = ireg;
             acc_ndims = 1;
             acc_rel = (false, false);
@@ -403,7 +413,7 @@ let lower (k : Kernel.t) =
     b.accs_rev <- acc :: b.accs_rev;
     let id = b.n_accs in
     b.n_accs <- id + 1;
-    id
+    (id, arr_float.(slot))
   in
   (* Lower a select once the arms' target kind is fixed.  The interpreter
      evaluates only the chosen arm, so a trapping arm must stay lazy. *)
@@ -485,10 +495,7 @@ let lower (k : Kernel.t) =
               else
                 match lower_i b ~depth_of ~pos_repr o with
                 | Trap _ as t -> t
-                | Slot si ->
-                    let d = fresh_f b in
-                    emit b (F_of_i { d; a = si });
-                    Slot d
+                | Slot si -> Slot (f_of_i b si)
             in
             let sa = force b (lower_cmp a) in
             let sb = force b (lower_cmp b2) in
@@ -498,30 +505,30 @@ let lower (k : Kernel.t) =
         | Instr.Select { ty; cond; if_true; if_false } ->
             if Types.is_float ty then RF (lower_select ~float_kind:true cond if_true if_false)
             else RI (lower_select ~float_kind:false cond if_true if_false)
-        | Instr.Load { ty; addr } ->
-            let acc = lower_access addr in
-            if Types.is_float ty then begin
-              let d = fresh_f b in
-              emit b (Fload { d; acc });
-              RF d
-            end
-            else begin
-              let d = fresh_i b in
-              emit b (Iload { d; acc });
-              RI d
-            end
+        | Instr.Load { ty; addr } -> (
+            (* Read the array's own register file; a load typed otherwise
+               converts the value read, as [Env.read_*] does. *)
+            let acc, stored_float = lower_access addr in
+            let d = (if stored_float then fresh_f else fresh_i) b in
+            emit b (if stored_float then Fload { d; acc } else Iload { d; acc });
+            match (Types.is_float ty, stored_float) with
+            | true, true -> RF d
+            | true, false -> RF (f_of_i b d)
+            | false, false -> RI d
+            | false, true -> RI (i_of_f b d))
         | Instr.Store { ty; addr; src } ->
             (* Evaluation order matches the interpreter: the address (an
-               indirect index operand) resolves before the source value. *)
-            let acc = lower_access addr in
-            if Types.is_float ty then begin
-              let src = lf src in
-              emit b (Fstore { acc; src })
-            end
-            else begin
-              let src = li src in
-              emit b (Istore { acc; src })
-            end;
+               indirect index operand) resolves before the source value,
+               which [Env.write_*] then converts to the array's kind. *)
+            let acc, stored_float = lower_access addr in
+            let src =
+              match (Types.is_float ty, stored_float) with
+              | true, true -> lf src
+              | true, false -> i_of_f b (lf src)
+              | false, false -> li src
+              | false, true -> f_of_i b (li src)
+            in
+            emit b (if stored_float then Fstore { acc; src } else Istore { acc; src });
             RNone
         | Instr.Cast { dst_ty; a; _ } ->
             (* Pure conversion: alias the (converted) operand slot. *)

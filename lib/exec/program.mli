@@ -13,8 +13,12 @@
     source slots, in the register file the constructor names ([F]: float,
     [I]: int); comparison results and select conditions are int slots
     holding 0/1.  Loads and stores name an access descriptor ([acc], an
-    index into [accesses]) and read the array's storage kind from it; traps
-    name a message ([trap], an index into [traps]).  An operator outside its
+    index into [accesses]) and use the register file of the array's storage
+    ([Fload]/[Fstore] float arrays, [Iload]/[Istore] int arrays, as
+    [arr_float] says): [lower] turns an access typed otherwise into the
+    same-kind access plus an explicit [F_of_i]/[I_of_f], after a load and
+    before a store.  Traps name a message ([trap], an index into
+    [traps]).  An operator outside its
     file's vocabulary (an integer-only binop in [Fbin], [Not] in [Funary],
     [Sqrt] in [Iunary]) traps as the interpreter does. *)
 type insn =
@@ -52,7 +56,6 @@ type aterm = { t_depth : int; t_c0 : int; t_c1 : int }
 type access = {
   acc_arr : int;  (* array slot *)
   acc_name : string;  (* for [Env.Out_of_bounds] reporting *)
-  acc_float : bool;  (* storage kind of the array slot *)
   acc_ind : int;  (* int register holding an indirect index; -1 = affine *)
   acc_ndims : int;
   acc_rel : bool * bool;  (* rel_n per dim (snd unused for 1-d) *)
