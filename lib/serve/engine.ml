@@ -62,17 +62,17 @@ let breaker_cooldown = 8
 let journal_every = 32
 
 type stats = {
-  received : int;
-  answered : int;
-  rejected_overload : int;
-  rejected_rate : int;
-  rejected_bad : int;
-  deadline_errors : int;
-  dropped : int;
-  partials : int;
-  degraded_baseline : int;
-  degraded_lint_skipped : int;
-  internal_errors : int;
+  mutable received : int;
+  mutable answered : int;
+  mutable rejected_overload : int;
+  mutable rejected_rate : int;
+  mutable rejected_bad : int;
+  mutable deadline_errors : int;
+  mutable dropped : int;
+  mutable partials : int;
+  mutable degraded_baseline : int;
+  mutable degraded_lint_skipped : int;
+  mutable internal_errors : int;
 }
 
 let stats_to_list s =
@@ -92,7 +92,7 @@ type t = {
   predict_breaker : Breaker.t;
   buckets : Bucket.Family.t;
   lock : Mutex.t;
-  mutable st : stats;  (* guarded by [lock], like the field below *)
+  st : stats;  (* counted in place under [lock], like the field below *)
   mutable since_checkpoint : int;
   journal : Checkpoint.Journal.t option;
   mutable resumed : bool;
@@ -115,11 +115,12 @@ and memo = {
 
 let journal_key = "serve-stats"
 
-let stats t = Mutex.protect t.lock (fun () -> t.st)
+let stats t = Mutex.protect t.lock (fun () -> { t.st with received = t.st.received })
 
-let stats_json s =
-  Vjson.Obj
-    (List.map (fun (k, v) -> (k, Vjson.Num (float_of_int v))) (stats_to_list s))
+let counts_json counts =
+  Vjson.Obj (List.map (fun (k, v) -> (k, Vjson.Num (float_of_int v))) counts)
+
+let stats_json s = counts_json (stats_to_list s)
 
 let stats_of_json v =
   let get k = Option.value ~default:0 (Vjson.mem_int k v) in
@@ -130,6 +131,18 @@ let stats_of_json v =
     partials = get "partials"; degraded_baseline = get "degraded_baseline";
     degraded_lint_skipped = get "degraded_lint_skipped";
     internal_errors = get "internal_errors" }
+
+(* Each memo table's counters, for the [stats] reply. *)
+let memo_json m =
+  let table name memo =
+    let s = Vpar.Memo.stats memo in
+    ( name,
+      counts_json
+        [ ("hits", s.hits); ("misses", s.misses); ("entries", s.entries) ] )
+  in
+  Vjson.Obj
+    [ table "vectors" m.vectors; table "lints" m.lints; table "certs" m.certs;
+      table "baselines" m.baselines ]
 
 let checkpoint_locked t =
   match t.journal with
@@ -405,24 +418,21 @@ type outcome =
 let record t outcome ~partial ~tags =
   Mutex.lock t.lock;
   let s = t.st in
-  t.st <-
-    (match outcome with
-    | O_answered ->
-        t.since_checkpoint <- t.since_checkpoint + 1;
-        { s with
-          answered = s.answered + 1;
-          partials = s.partials + Bool.to_int partial;
-          degraded_baseline =
-            s.degraded_baseline + Bool.to_int (List.mem "baseline-model" tags);
-          degraded_lint_skipped =
-            s.degraded_lint_skipped
-            + Bool.to_int (List.mem "lint-skipped" tags) }
-    | O_overload -> { s with rejected_overload = s.rejected_overload + 1 }
-    | O_rate -> { s with rejected_rate = s.rejected_rate + 1 }
-    | O_bad -> { s with rejected_bad = s.rejected_bad + 1 }
-    | O_deadline -> { s with deadline_errors = s.deadline_errors + 1 }
-    | O_dropped -> { s with dropped = s.dropped + 1 }
-    | O_internal -> { s with internal_errors = s.internal_errors + 1 });
+  (match outcome with
+  | O_answered ->
+      t.since_checkpoint <- t.since_checkpoint + 1;
+      s.answered <- s.answered + 1;
+      s.partials <- s.partials + Bool.to_int partial;
+      s.degraded_baseline <-
+        s.degraded_baseline + Bool.to_int (List.mem "baseline-model" tags);
+      s.degraded_lint_skipped <-
+        s.degraded_lint_skipped + Bool.to_int (List.mem "lint-skipped" tags)
+  | O_overload -> s.rejected_overload <- s.rejected_overload + 1
+  | O_rate -> s.rejected_rate <- s.rejected_rate + 1
+  | O_bad -> s.rejected_bad <- s.rejected_bad + 1
+  | O_deadline -> s.deadline_errors <- s.deadline_errors + 1
+  | O_dropped -> s.dropped <- s.dropped + 1
+  | O_internal -> s.internal_errors <- s.internal_errors + 1);
   if t.journal <> None && t.since_checkpoint >= journal_every then
     checkpoint_locked t;
   Mutex.unlock t.lock
@@ -430,10 +440,10 @@ let record t outcome ~partial ~tags =
 (* Count a received request; its count is the request's breaker tick. *)
 let receive t =
   Mutex.lock t.lock;
-  let s = { t.st with received = t.st.received + 1 } in
-  t.st <- s;
+  let tick = t.st.received + 1 in
+  t.st.received <- tick;
   Mutex.unlock t.lock;
-  s.received
+  tick
 
 let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
   let id = req.Proto.rq_id in
@@ -474,11 +484,8 @@ let handle t ?(now = 0.0) ?(queue_depth = 0) (req : Proto.request) =
           finish O_answered ~partial:false
             (Proto.ok ~id
                (("stats", stats_json (stats t))
-               :: ( "injected",
-                    Vjson.Obj
-                      (List.map
-                         (fun (k, v) -> (k, Vjson.Num (float_of_int v)))
-                         (Vfault.Inject.counts ())) )
+               :: ("memo", memo_json t.memo)
+               :: ("injected", counts_json (Vfault.Inject.counts ()))
                :: loaded_fields (Modelslot.current t.slot)))
       | Proto.Shutdown ->
           checkpoint t;

@@ -17,7 +17,9 @@
     baseline speedup, keyed by (registry kernel name, vf).  Lookups run
     inside the stages, after their fault draws, so drops, slowness,
     retries, breakers and the virtual stage costs are exactly those of an
-    unmemoized engine; an analysis that raises is not memoized.
+    unmemoized engine; an analysis that raises is not memoized.  The
+    [stats] reply reports each table's hits, misses and entries under
+    [memo].
     Predictions are not memoized (the model can hot-reload).  The wire
     bounds the memo: 151 registry kernels × vf 1–64 keys per table, plus
     151 default-VF lint keys.  Filled at every key with a fitted [cert]
@@ -45,19 +47,20 @@ val default_config : config
 (** Cumulative serving counters.  In sequential use every request is
     counted exactly once, so
     [received = answered + rejected_overload + rejected_rate +
-     rejected_bad + deadline_errors + dropped + internal_errors]. *)
-type stats = {
-  received : int;
-  answered : int;  (** ok responses, including degraded and partial *)
-  rejected_overload : int;  (** queue full or injected admission reject *)
-  rejected_rate : int;
-  rejected_bad : int;  (** malformed requests, unknown kernels/machines *)
-  deadline_errors : int;  (** budget exhausted before a decision *)
-  dropped : int;  (** all attempts lost; answered with [E_dropped] *)
-  partials : int;  (** answered without diagnostics (deadline) *)
-  degraded_baseline : int;  (** fitted model unusable; baseline answered *)
-  degraded_lint_skipped : int;  (** analysis breaker open; lint skipped *)
-  internal_errors : int;
+     rejected_bad + deadline_errors + dropped + internal_errors].  The
+    engine counts in place under its lock; {!stats} returns a copy. *)
+type stats = private {
+  mutable received : int;
+  mutable answered : int;  (** ok responses, including degraded and partial *)
+  mutable rejected_overload : int;  (** queue full or injected admission reject *)
+  mutable rejected_rate : int;
+  mutable rejected_bad : int;  (** malformed requests, unknown kernels/machines *)
+  mutable deadline_errors : int;  (** budget exhausted before a decision *)
+  mutable dropped : int;  (** all attempts lost; answered with [E_dropped] *)
+  mutable partials : int;  (** answered without diagnostics (deadline) *)
+  mutable degraded_baseline : int;  (** fitted model unusable; baseline answered *)
+  mutable degraded_lint_skipped : int;  (** analysis breaker open; lint skipped *)
+  mutable internal_errors : int;
 }
 
 type t

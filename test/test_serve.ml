@@ -487,6 +487,33 @@ let test_memo_concurrent_cold_key () =
     (Vserve.Engine.stats engine).Vserve.Engine.internal_errors;
   Sys.remove path
 
+(* The [stats] reply reports each memo table's counters: of two identical
+   predicts on a baseline engine, the first misses the baseline and lint
+   tables and the second hits them. *)
+let test_memo_stats_reply () =
+  let engine = Vserve.Engine.create base_config in
+  ignore (Vserve.Engine.handle engine (predict ~id:"p1" "s000"));
+  ignore (Vserve.Engine.handle engine (predict ~id:"p2" "s000"));
+  let resp, _ =
+    Vserve.Engine.handle engine
+      { Vserve.Proto.rq_id = "s"; rq_client = "tests"; rq_op = Vserve.Proto.Stats }
+  in
+  let memo =
+    match resp.Vserve.Proto.rs_result with
+    | Ok fields -> Vjson.member "memo" (Vjson.Obj fields)
+    | Error _ -> None
+  in
+  List.iter
+    (fun table ->
+      let count key =
+        Option.bind (Option.bind memo (Vjson.member table)) (Vjson.mem_int key)
+      in
+      List.iter
+        (fun key ->
+          Alcotest.(check (option int)) (table ^ " " ^ key) (Some 1) (count key))
+        [ "misses"; "hits"; "entries" ])
+    [ "baselines"; "lints" ]
+
 (* --- deadlines ------------------------------------------------------------- *)
 
 let test_deadline_partial_and_reject () =
@@ -903,6 +930,8 @@ let tests =
       test_memo_faults_on_warm_keys;
     Alcotest.test_case "memo concurrent cold key" `Quick
       test_memo_concurrent_cold_key;
+    Alcotest.test_case "memo counters in the stats reply" `Quick
+      test_memo_stats_reply;
     Alcotest.test_case "reload validation" `Quick test_reload_validation;
     Alcotest.test_case "compat typed errors" `Quick test_compat_typed_errors;
     Alcotest.test_case "engine reload ops" `Quick test_engine_reload_ops;
