@@ -369,7 +369,7 @@ let bench_json out =
               [ ("build_cold_s", Num san_off); ("build_cold_sanitized_s", Num san_on);
                 ("overhead", Num (san_on /. Float.max 1e-9 san_off -. 1.0)) ] ) ])
   in
-  Report.write_file out (Vjson.to_string doc ^ "\n");
+  Checkpoint.write_atomic out (Vjson.to_string doc ^ "\n");
   (* The output landed atomically; the checkpoints have served their
      purpose. *)
   Checkpoint.Journal.clear journal;
@@ -412,7 +412,9 @@ let exec_smoke () =
 (* csv DIR: one summary CSV per registry table plus the F1/F3 scatters. *)
 let export_csv dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let write name contents = Report.write_file (Filename.concat dir name) contents in
+  let write name contents =
+    Checkpoint.write_atomic (Filename.concat dir name) contents
+  in
   List.iter
     (fun (e : Experiment.entry) ->
       match e.run () with

@@ -203,8 +203,9 @@ let apply_faults = function
           exit 124)
 
 (* --- execution backend ------------------------------------------------------
-   [--backend B] pins the kernel execution engine for this invocation,
-   overriding [VECMODEL_BACKEND]; without either the closure tier runs. *)
+   [opt --backend B] pins the kernel execution engine its validation runs
+   on, overriding [VECMODEL_BACKEND]; without either the closure tier
+   runs.  Every other command reads [VECMODEL_BACKEND] only. *)
 
 let backend_conv =
   let parse s =
@@ -227,10 +228,6 @@ let backend_arg =
         ~doc:
           "Execution engine for kernel runs: interp (tree-walking reference) \
            or closure (compiled, default).  Overrides $(b,VECMODEL_BACKEND).")
-
-let apply_backend = function
-  | None -> ()
-  | Some b -> Vexec.Backend.set_default b
 
 (* --- sanitizer --------------------------------------------------------------
    [--sanitize] arms the shadow-state sanitizer for this invocation:
@@ -610,7 +607,7 @@ let opt_cmd =
              exit 1 on any semantic diff.")
   in
   let run ks json validate backend =
-    apply_backend backend;
+    Option.iter Vexec.Backend.set_default backend;
     let reports = Vanalysis.Opt.run_all ks in
     if json then
       print_json (Vjson.List (List.map Vanalysis.Opt.report_to_json reports))
@@ -766,9 +763,8 @@ let save_arg =
     & info [ "save" ] ~docv:"FILE" ~doc:"Write the fitted model to FILE.")
 
 let fit_cmd =
-  let run machine n transform method_ features target save faults backend =
+  let run machine n transform method_ features target save faults =
     apply_faults faults;
-    apply_backend backend;
     let samples = build_samples machine transform n in
     let m = Linmodel.fit ~method_ ~features ~target samples in
     (match save with
@@ -784,27 +780,18 @@ let fit_cmd =
       machine.Vmachine.Descr.name
       (Dataset.transform_to_string transform);
     print_endline "weights:";
-    let weight_names =
-      match features with
-      | Linmodel.Cert -> Feature.cert_names
-      | Linmodel.Deps -> Feature.deps_names
-      | Linmodel.Opt -> Feature.opt_names
-      | Linmodel.Absint -> Feature.absint_names
-      | Linmodel.Extended -> Feature.extended_names
-      | Linmodel.Raw | Linmodel.Rated -> Feature.names
-    in
     List.iteri
       (fun i name ->
         if m.Linmodel.weights.(i) <> 0.0 then
           Printf.printf "  %-14s %10.4f\n" name m.Linmodel.weights.(i))
-      weight_names;
+      (Linmodel.names_of_kind features);
     print_eval "in-sample" (Metrics.evaluate ~predicted:(Linmodel.predict_all m samples) samples);
     print_eval "baseline " (Metrics.evaluate ~predicted:(Dataset.baseline_array samples) samples)
   in
   Cmd.v (Cmd.info "fit" ~doc:"Fit a cost model and print weights and metrics")
     Term.(
       const run $ machine_arg $ n_arg $ transform_arg $ method_arg
-      $ features_arg $ target_arg $ save_arg $ faults_arg $ backend_arg)
+      $ features_arg $ target_arg $ save_arg $ faults_arg)
 
 (* --- predict ------------------------------------------------------------------- *)
 
@@ -815,9 +802,7 @@ let predict_cmd =
       & opt (some string) None
       & info [ "model" ] ~docv:"FILE" ~doc:"Model file written by fit --save.")
   in
-  let run (entry : Tsvc.Registry.entry) model_path machine n transform
-      backend =
-    apply_backend backend;
+  let run (entry : Tsvc.Registry.entry) model_path machine n transform =
     match Linmodel.load model_path with
     | Error e -> fail "--model: %s" e
     | Ok m -> (
@@ -834,13 +819,11 @@ let predict_cmd =
     (Cmd.info "predict" ~doc:"Predict one kernel's speedup with a saved model")
     Term.(
       const run $ kernel_arg tsvc_registry $ model_arg $ machine_arg $ n_arg
-      $ transform_arg
-      $ backend_arg)
+      $ transform_arg)
 
 let loocv_cmd =
-  let run machine n transform method_ features target faults backend =
+  let run machine n transform method_ features target faults =
     apply_faults faults;
-    apply_backend backend;
     let samples = build_samples machine transform n in
     let predicted = Crossval.loocv ~method_ ~features ~target samples in
     print_eval "loocv    " (Metrics.evaluate ~predicted samples);
@@ -850,7 +833,7 @@ let loocv_cmd =
     (Cmd.info "loocv" ~doc:"Leave-one-out cross-validation of a cost model")
     Term.(
       const run $ machine_arg $ n_arg $ transform_arg $ method_arg
-      $ features_arg $ target_arg $ faults_arg $ backend_arg)
+      $ features_arg $ target_arg $ faults_arg)
 
 (* --- report ---------------------------------------------------------------------- *)
 
@@ -883,22 +866,20 @@ let report_cmd =
             ("Experiment ids, any case; all of them when none is given: "
            ^ experiment_ids ^ "."))
   in
-  let run which faults backend =
+  let run which faults =
     apply_faults faults;
-    apply_backend backend;
     let entries = match which with [] -> Experiment.registry | l -> l in
     List.iter
       (fun (e : Experiment.entry) -> Experiment.print (e.run ()))
       entries
   in
   Cmd.v (Cmd.info "report" ~doc:"Reproduce the paper's tables and figures")
-    Term.(const run $ which $ faults_arg $ backend_arg)
+    Term.(const run $ which $ faults_arg)
 
 (* --- cachestats ------------------------------------------------------------ *)
 
 let cachestats_cmd =
-  let run backend =
-    apply_backend backend;
+  let run () =
     Dataset.cache_clear ();
     Experiment.loocv_cache_clear ();
     (* The registry reuses a few (machine, transform) sample sets, so most
@@ -911,7 +892,13 @@ let cachestats_cmd =
           s.Dataset.hits s.Dataset.misses s.Dataset.entries)
       Experiment.registry;
     Printf.printf "domain pool: %d worker(s)\n" (Vpar.Pool.default_size ());
-    print_endline (Report.cache_stats_string ());
+    let s = Dataset.cache_stats () in
+    Printf.printf
+      "sample cache: %d hits, %d misses (%.1f%% hit rate), %d live entries\n"
+      s.Dataset.hits s.Dataset.misses
+      (100.0 *. float_of_int s.Dataset.hits
+      /. float_of_int (s.Dataset.hits + s.Dataset.misses))
+      s.Dataset.entries;
     (match Dataset.cache_backends () with
     | [] -> ()
     | per_backend ->
@@ -932,7 +919,7 @@ let cachestats_cmd =
          "Run every registry experiment against the shared sample cache and \
           report hit/miss counters, the per-backend sample breakdown and \
           how many kernel executions ran")
-    Term.(const run $ backend_arg)
+    Term.(const run $ const ())
 
 (* --- health ----------------------------------------------------------------- *)
 
@@ -1086,10 +1073,9 @@ let health_cmd =
              queue bound, breaker states, model digest) instead of \
              building the dataset.")
   in
-  let run machine n transform repeats faults backend sanitize json
-      serve_journal serve_connect =
+  let run machine n transform repeats faults sanitize json serve_journal
+      serve_connect =
     apply_faults faults;
-    apply_backend backend;
     apply_sanitize sanitize;
     (match (serve_journal, serve_connect) with
     | Some path, _ ->
@@ -1186,7 +1172,7 @@ let health_cmd =
           counters")
     Term.(
       const run $ machine_arg $ n_arg $ transform_arg $ repeats_arg
-      $ faults_arg $ backend_arg $ sanitize_arg $ json_arg
+      $ faults_arg $ sanitize_arg $ json_arg
       $ serve_journal_arg $ serve_connect_arg)
 
 (* --- faults ----------------------------------------------------------------- *)

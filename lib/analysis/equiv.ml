@@ -286,9 +286,10 @@ let semantic_sizes = [ 17; 101 ]
 let semantic_diags ~pass ~orig (k : Kernel.t) =
   let err fmt = Diag.error ~pass ~kernel:k.Kernel.name fmt in
   (* Runs go through the selected execution backend (closure-compiled by
-     default) — this check sits on the Dataset.build hot path via the
-     optimizer's per-pass validation.  All backends share reference
-     semantics, enforced by the exec equivalence suite. *)
+     default).  Only [Opt.validate] calls this check, from
+     `vecmodel opt --validate` and the tests; sample builds normalize
+     through [Opt.normalize], which validates nothing.  All backends share
+     reference semantics, enforced by the exec equivalence suite. *)
   let backend = Vexec.Backend.default () in
   let run n kernel =
     match Vexec.Backend.run ~n backend kernel with

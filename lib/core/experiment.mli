@@ -2,8 +2,9 @@
     extensions and ablations, and the registry that lists them.  Ids follow
     DESIGN.md: F1..F8 are the slides' figures and T1/T2 its tables; F9..F13
     add analysis features and A1..A10 are this repo's ablations, extensions
-    and validations.  The drivers take an optional [config]; the registry
-    runs them at [default_config]. *)
+    and validations.  The registry runs every driver at [default_config];
+    the drivers a test also runs at a smaller [n] take an optional
+    [config]. *)
 
 type config = { n : int; noise_amp : float; seed : int }
 
@@ -33,13 +34,13 @@ val f3 : ?config:config -> unit -> Report.result
 val f4 : ?config:config -> unit -> Report.result
 
 (** F5: LOOCV of the L2 fit on ARM. *)
-val f5 : ?config:config -> unit -> Report.result
+val f5 : unit -> Report.result
 
 (** F6: state of the art on x86 (SLP after unrolling, AVX2). *)
-val f6 : ?config:config -> unit -> Report.result
+val f6 : unit -> Report.result
 
 (** F7: fitted for cost on x86 (L2, NNLS, SVR). *)
-val f7 : ?config:config -> unit -> Report.result
+val f7 : unit -> Report.result
 
 (** F8: fitted for speedup on x86 (L2, NNLS, SVR). *)
 val f8 : ?config:config -> unit -> Report.result
@@ -47,31 +48,31 @@ val f8 : ?config:config -> unit -> Report.result
 (** F9: extended features with vs without the abstract-interpretation
     columns (aligned-access fraction, provable trip count); the note
     reports the correlation delta. *)
-val f9 : ?config:config -> unit -> Report.result
+val f9 : unit -> Report.result
 
 (** F10: fitting on [Vanalysis.Opt]-normalized instruction counts vs raw
     source-level counts (same measurements); the note reports the
     correlation delta, and a third row exercises the [opt] feature kind. *)
-val f10 : ?config:config -> unit -> Report.result
+val f10 : unit -> Report.result
 
 (** F11 (robustness): contaminate 0–20% of the measured speedups with
     heavy-tailed two-sided spikes, fit L2 and Huber-IRLS on the
     contaminated data and score both against the clean measurements; the
     notes report the per-rate correlation and false-prediction gap. *)
-val f11 : ?config:config -> unit -> Report.result
+val f11 : unit -> Report.result
 
 (** F12 (dependence features): fit with and without the nest-wide
     dependence-graph columns (tightest carried distance, carried counts
     per depth, idiom flags); the notes report the correlation delta and
     the legality oracle's precision/recall against the validator. *)
-val f12 : ?config:config -> unit -> Report.result
+val f12 : unit -> Report.result
 
 (** F13 (safety certificates): fit with and without the static
     safety-certificate columns (certified-safe access fraction, guard-free
     license flag from the relational bounds prover); the notes report the
     correlation delta and the registry certification census against the
     bind-time interval baseline. *)
-val f13 : ?config:config -> unit -> Report.result
+val f13 : unit -> Report.result
 
 type t1_row = {
   t1_transform : string;
@@ -86,13 +87,13 @@ type t1_result = { t1_kernel : string; t1_rows : t1_row list }
 val t1 : ?config:config -> unit -> t1_result
 
 (** T2: summary, baseline vs refined model on ARM. *)
-val t2 : ?config:config -> unit -> Report.result
+val t2 : unit -> Report.result
 
 (** A1 (ablation): which features carry the signal. *)
 val a1 : ?config:config -> unit -> Report.result
 
 (** A2 (ablation): 128-bit vs 256-bit ARM machine. *)
-val a2 : ?config:config -> unit -> Report.result * Report.result
+val a2 : unit -> Report.result * Report.result
 
 (** A3 (ablation): out-of-order big core vs in-order little core. *)
 val a3 : ?config:config -> unit -> Report.result * Report.result
@@ -120,7 +121,7 @@ type a6_result = {
 
 (** A6 (validation): analytic memory level vs trace-driven cache simulation
     over the whole suite. *)
-val a6 : ?config:config -> unit -> a6_result
+val a6 : unit -> a6_result
 
 type a7_result = { a7_machine : string; a7_rows : Select.summary list }
 
@@ -143,11 +144,11 @@ type a9_result = { a9_machine : string; a9_rows : a9_row list }
 
 (** A9 (extension): interleaving (multiple accumulators) — the knob the
     paper's setup disables — measured across the suite. *)
-val a9 : ?config:config -> unit -> a9_result
+val a9 : unit -> a9_result
 
 (** A10 (ablation): feature extraction before vs after IR cleanup
     (constant folding, CSE, DCE). *)
-val a10 : ?config:config -> unit -> Report.result
+val a10 : unit -> Report.result
 
 (** {1 The registry} *)
 

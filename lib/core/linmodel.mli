@@ -18,6 +18,9 @@ type target = Speedup | Cost
 
 val target_to_string : target -> string
 
+(** Column names of a feature kind, in weight order. *)
+val names_of_kind : feature_kind -> string list
+
 (** Column arity of a feature kind. *)
 val dim_of : feature_kind -> int
 

@@ -135,10 +135,6 @@ let scatter_csv ~names ~measured ~predicted =
     names;
   Buffer.contents b
 
-(* Atomic (temp file + fsync + rename): a reader racing the writer, or a
-   crash mid-write, never observes a truncated report. *)
-let write_file path contents = Checkpoint.write_atomic path contents
-
 (* --- ASCII histogram ------------------------------------------------------- *)
 
 let histogram ~label (xs : float array) =
@@ -167,26 +163,3 @@ let histogram ~label (xs : float array) =
       counts;
     Format.pp_print_flush ppf ()
   end
-
-(* --- sample-cache report ---------------------------------------------------
-   One line summarizing Dataset's memo cache, printed by the CLI's
-   [cachestats] subcommand. *)
-
-let cache_stats_string () =
-  let s = Dataset.cache_stats () in
-  let total = s.Dataset.hits + s.Dataset.misses in
-  let rate =
-    if total = 0 then 0.0
-    else 100.0 *. float_of_int s.Dataset.hits /. float_of_int total
-  in
-  let backends =
-    match Dataset.cache_backends () with
-    | [] -> ""
-    | per_backend ->
-        "; by backend: "
-        ^ String.concat ", "
-            (List.map (fun (b, n) -> Printf.sprintf "%s %d" b n) per_backend)
-  in
-  Printf.sprintf
-    "sample cache: %d hits, %d misses (%.1f%% hit rate), %d live entries%s"
-    s.Dataset.hits s.Dataset.misses rate s.Dataset.entries backends

@@ -30,13 +30,5 @@ val to_csv : result -> string
 val scatter_csv :
   names:string array -> measured:float array -> predicted:float array -> string
 
-(** Atomic (temp file + fsync + rename): a crash mid-write never leaves a
-    truncated file. *)
-val write_file : string -> string -> unit
-
 (** ASCII histogram of a sample: 12 bins, bars up to 40 columns. *)
 val histogram : label:string -> float array -> unit
-
-(** One-line summary of the sample memo cache (hits, misses, hit rate,
-    live entries) since the last [Dataset.cache_clear]. *)
-val cache_stats_string : unit -> string

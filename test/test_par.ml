@@ -315,6 +315,25 @@ let test_cache_key_includes_config () =
          x.measured <> y.measured)
        a b)
 
+let test_registry_cache_counts () =
+  (* Pins how often a cold registry pass looks samples, executions and
+     LOOCV predictions up: a table that looked its sample set up twice
+     would print the same report but count more hits here.  A6 builds no
+     samples. *)
+  Dataset.cache_clear ();
+  Experiment.loocv_cache_clear ();
+  List.iter
+    (fun (e : Experiment.entry) -> if e.id <> "a6" then ignore (e.run ()))
+    Experiment.registry;
+  let check name (s : Dataset.cache_stats) hits misses =
+    check_int (name ^ " hits") hits s.hits;
+    check_int (name ^ " misses") misses s.misses
+  in
+  check "sample cache" (Dataset.cache_stats ()) 3115 1016;
+  check_int "sample cache entries" 1016 (Dataset.cache_stats ()).entries;
+  check "execution memo" (Dataset.exec_stats ()) 547 206;
+  check "loocv memo" (Experiment.loocv_cache_stats ()) 2 4
+
 let test_cache_disable () =
   Dataset.cache_clear ();
   Dataset.set_cache_enabled false;
@@ -354,4 +373,6 @@ let tests =
       test_cache_returns_equal_samples;
     Alcotest.test_case "cache key includes config" `Quick
       test_cache_key_includes_config;
+    Alcotest.test_case "registry cache counts" `Quick
+      test_registry_cache_counts;
     Alcotest.test_case "cache disable" `Quick test_cache_disable ]
