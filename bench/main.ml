@@ -254,16 +254,16 @@ let bench_json out =
   let deps_configs = ref [] in
   let deps_wall =
     wall (fun () ->
-        deps_configs := Vanalysis.Depsreport.crosscheck opt_kernels)
+        deps_configs := Vanalysis.Crosscheck.run Semantics opt_kernels)
   in
-  let deps_stats = Vanalysis.Depsreport.stats !deps_configs in
+  let deps_stats = Vanalysis.Crosscheck.stats !deps_configs in
   Printf.printf
     "   DEPS crosscheck %8.4fs over %d configs (precision %.4f, recall \
      %.4f)\n%!"
     deps_wall
     (List.length !deps_configs)
-    (Vanalysis.Depsreport.precision deps_stats)
-    (Vanalysis.Depsreport.recall deps_stats);
+    (Vanalysis.Crosscheck.precision deps_stats)
+    (Vanalysis.Crosscheck.recall deps_stats);
   (* CERT: the relational bounds prover over the full registry — certified
      access fraction and certification wall time.  Every Dataset.build
      runs under these certificates. *)
@@ -355,13 +355,8 @@ let bench_json out =
                   Obj (List.map (fun (c, v) -> (c, Num v)) opt_mean_reduction) ) ] );
           ( "deps",
             Obj
-              [ ("wall_s", Num deps_wall); ("configs", count (List.length !deps_configs));
-                ("tp", count deps_stats.Vanalysis.Depsreport.st_tp);
-                ("fp", count deps_stats.st_fp); ("fn", count deps_stats.st_fn);
-                ("tn", count deps_stats.st_tn);
-                ("inapplicable", count deps_stats.st_inapplicable);
-                ("precision", Num (Vanalysis.Depsreport.precision deps_stats));
-                ("recall", Num (Vanalysis.Depsreport.recall deps_stats)) ] );
+              (("wall_s", Num deps_wall)
+              :: Vanalysis.Crosscheck.summary_fields Semantics !deps_configs) );
           ( "cert",
             Obj [ ("certified_frac", Num cert_frac); ("certify_wall_s", Num cert_wall) ] );
           ( "san",

@@ -1,15 +1,28 @@
 (* vecmodel: command-line front end for the cost-model reproduction.
 
      vecmodel list [--category C]
-     vecmodel show KERNEL
+     vecmodel show KERNEL [--asm] [--machine M]
      vecmodel lint [KERNEL | --all] [--transform T] [--vf N ...] [--json]
-     vecmodel deps [KERNEL | --all] [--json] [--crosscheck] [--vf N ...]
-     vecmodel opt [KERNEL | --all] [--json] [--validate]
-     vecmodel simulate KERNEL [--machine M] [--n N] [--transform T]
+                   [--verbose]
+     vecmodel deps [KERNEL | --all] [--json] [--crosscheck [--vf N ...]]
+     vecmodel effects [KERNEL | --all] [--json] [--crosscheck [--vf N ...] | -n N]
+     vecmodel absint KERNEL [--vf N] [-n N] [--json]
+     vecmodel opt [KERNEL | --all] [--json] [--validate] [--backend B]
+     vecmodel certify [KERNEL | --all] [--vf N] [--json] [--gate]
+     vecmodel simulate KERNEL [--machine M] [-n N] [--transform T]
      vecmodel fit [--machine M] [--method m] [--features f] [--target t]
-     vecmodel loocv [...]
+                  [--save FILE]
+     vecmodel predict KERNEL --model FILE [--machine M] [-n N] [--transform T]
+     vecmodel loocv [--machine M] [--method m] [--features f] [--target t]
      vecmodel report [EXPERIMENT ...]
      vecmodel cachestats
+     vecmodel health [--repeats K] [--sanitize] [--json]
+     vecmodel faults [--json]
+     vecmodel serve [--socket PATH | --port PORT] [--model FILE]
+     vecmodel loadtest [--connect PATH | --port PORT] [--requests N] [--json]
+     vecmodel export-machine FILE [--machine M]
+
+   The commands that build samples or serve also take --faults SPEC.
 *)
 
 open Cmdliner
@@ -119,6 +132,17 @@ let vf_conv =
     | r -> r
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* The factors a validation matrix or a cross-check sweeps: [None] when no
+   --vf is given (the default 2, 4 and 8). *)
+let vfs_arg =
+  let some = function [] -> None | vfs -> Some vfs in
+  Term.(
+    const some
+    $ Arg.(
+        value & opt_all vf_conv []
+        & info [ "vf" ] ~docv:"N"
+            ~doc:"Vectorization factor to check at (repeatable). Default: 2 4 8."))
 
 (* --- kernels -----------------------------------------------------------------
    Names resolve while the command line is parsed, so an unknown kernel is a
@@ -384,12 +408,6 @@ let lint_cmd =
             "Validate only this transform (llv, slp or unroll; repeatable). \
              Default: all three.")
   in
-  let vfs_arg =
-    Arg.(
-      value & opt_all vf_conv []
-      & info [ "vf" ] ~docv:"N"
-          ~doc:"Vectorization factor to validate at (repeatable). Default: 2 4 8.")
-  in
   let verbose_flag =
     Arg.(
       value & flag
@@ -398,7 +416,6 @@ let lint_cmd =
   in
   let run kernels transforms vfs json verbose =
     let transforms = if transforms = [] then None else Some transforms in
-    let vfs = if vfs = [] then None else Some vfs in
     let reports =
       Vanalysis.Driver.lint_kernels ?transforms ?vfs kernels
     in
@@ -419,142 +436,95 @@ let lint_cmd =
       const run $ kernels_arg tsvc_registry $ transforms_arg $ vfs_arg
       $ json_arg $ verbose_flag)
 
-(* --- deps ----------------------------------------------------------------- *)
+(* --- deps / effects ----------------------------------------------------------
+   Each has a --crosscheck gate, one obligation of [Vanalysis.Crosscheck]
+   swept over the kernels; --vf picks its factors, so --vf without
+   --crosscheck is a usage error. *)
+
+let crosscheck_arg ~doc =
+  let flag = Arg.(value & flag & info [ "crosscheck" ] ~doc) in
+  let pick crosscheck vfs =
+    match (crosscheck, vfs) with
+    | true, vfs -> Ok (Some vfs)
+    | false, None -> Ok None
+    | false, Some _ -> Error "--vf applies to --crosscheck only"
+  in
+  Term.(term_result' (const pick $ flag $ vfs_arg))
+
+(* The gate's summary as text or JSON; exit 1 on any configuration that
+   fails its obligation. *)
+let crosscheck_gate obligation ?vfs ~json kernels =
+  let module C = Vanalysis.Crosscheck in
+  let configs = C.run obligation ?vfs kernels in
+  if json then print_json (Vjson.Obj (C.summary_fields obligation configs))
+  else C.print_summary obligation stdout configs;
+  if not (C.sound configs) then exit 1
 
 let deps_cmd =
-  let crosscheck_flag =
-    Arg.(
-      value & flag
-      & info [ "crosscheck" ]
-          ~doc:
-            "Force LLV and SLP at every factor, bypassing the legality \
-             oracle, and cross-check each verdict against the translation \
-             validator plus the reference interpreter.  Exits 1 on any \
-             oracle-legal configuration the validator refutes.")
+  let crosscheck =
+    crosscheck_arg
+      ~doc:
+        "Force LLV and SLP at every factor, bypassing the legality oracle, \
+         and cross-check each verdict against the translation validator \
+         plus the reference interpreter.  Exits 1 on any oracle-legal \
+         configuration the validator refutes."
   in
-  let vfs_arg =
-    Arg.(
-      value & opt_all vf_conv []
-      & info [ "vf" ] ~docv:"N"
-          ~doc:
-            "Vectorization factor for the cross-check (repeatable). \
-             Default: 2 4 8.")
-  in
-  let run kernels json crosscheck vfs =
-    let vfs = if vfs = [] then None else Some vfs in
-    if crosscheck then begin
-      let configs = Vanalysis.Depsreport.crosscheck ?vfs kernels in
-      let st = Vanalysis.Depsreport.stats configs in
-      if json then
-        print_json
-          Vjson.(
-            Obj
-              [ ("configs", json_int (List.length configs));
-                ("tp", json_int st.Vanalysis.Depsreport.st_tp);
-                ("fp", json_int st.st_fp); ("fn", json_int st.st_fn);
-                ("tn", json_int st.st_tn);
-                ("inapplicable", json_int st.st_inapplicable);
-                ("precision", Num (Vanalysis.Depsreport.precision st));
-                ("recall", Num (Vanalysis.Depsreport.recall st)) ])
-      else begin
-        List.iter
-          (fun c ->
-            print_endline (Vanalysis.Depsreport.config_to_string c))
-          (Vanalysis.Depsreport.failures configs);
-        Printf.printf
-          "%d configuration(s): %d legal+validated, %d SOUNDNESS FAILURE(S), \
-           %d conservative, %d refuted, %d inapplicable\n"
-          (List.length configs) st.Vanalysis.Depsreport.st_tp st.st_fp
-          st.st_fn st.st_tn st.st_inapplicable;
-        Printf.printf "oracle precision %.4f, recall %.4f\n"
-          (Vanalysis.Depsreport.precision st)
-          (Vanalysis.Depsreport.recall st)
-      end;
-      if not (Vanalysis.Depsreport.sound configs) then exit 1
-    end
-    else begin
-      let summaries = Vanalysis.Depsreport.summarize_kernels kernels in
-      if json then
-        print_json
-          (Vjson.List
-             (List.map Vanalysis.Depsreport.summary_to_json summaries))
-      else
-        List.iter (Vanalysis.Depsreport.print_summary stdout) summaries
-    end
+  let run kernels json crosscheck =
+    match crosscheck with
+    | Some vfs -> crosscheck_gate Semantics ?vfs ~json kernels
+    | None ->
+        let summaries = Vanalysis.Depsreport.summarize_kernels kernels in
+        if json then
+          print_json
+            (Vjson.List
+               (List.map Vanalysis.Depsreport.summary_to_json summaries))
+        else List.iter (Vanalysis.Depsreport.print_summary stdout) summaries
   in
   Cmd.v
     (Cmd.info "deps"
        ~doc:
          "Nest-wide dependence graph, idiom tags and the legality verdict \
           space; optionally cross-check the oracle against the validator")
-    Term.(
-      const run $ kernels_arg tsvc_registry $ json_arg $ crosscheck_flag
-      $ vfs_arg)
-
-(* --- effects ----------------------------------------------------------------- *)
+    Term.(const run $ kernels_arg tsvc_registry $ json_arg $ crosscheck)
 
 let effects_cmd =
-  let crosscheck_flag =
-    Arg.(
-      value & flag
-      & info [ "crosscheck" ]
-          ~doc:
-            "Prove the effect summary stable under every LLV/SLP/unroll x \
-             VF transform: the transformed kernel's effects must be \
-             statically subsumed by the source summary, and for \
-             oracle-legal configurations every access observed through the \
-             interpreter's trace must hit a licensed (array, direction) \
-             inside its static region.  Exits 1 on any escape.")
+  let crosscheck =
+    crosscheck_arg
+      ~doc:
+        "Prove the effect summary stable under every LLV/SLP/unroll x VF \
+         transform: the transformed kernel's effects must be statically \
+         subsumed by the source summary, and for oracle-legal \
+         configurations every access observed through the interpreter's \
+         trace must hit a licensed (array, direction) inside its static \
+         region.  Exits 1 on any escape."
   in
-  let vfs_arg =
+  let n_arg =
     Arg.(
-      value & opt_all vf_conv []
-      & info [ "vf" ] ~docv:"N"
-          ~doc:
-            "Vectorization factor for the cross-check (repeatable). \
-             Default: 2 4 8.")
-  in
-  let effects_n_arg =
-    Arg.(
-      value & opt int Vanalysis.Absint.default_n
+      value & opt (some int) None
       & info [ "n" ] ~docv:"N"
-          ~doc:"Problem size the affine regions are computed at.")
+          ~doc:
+            (Printf.sprintf
+               "Problem size the affine regions are computed at (not with \
+                --crosscheck). Default: %d."
+               Vanalysis.Absint.default_n))
   in
-  let run kernels json crosscheck vfs n =
-    let vfs = if vfs = [] then None else Some vfs in
-    if crosscheck then begin
-      let configs = Vanalysis.Effect.crosscheck ?vfs kernels in
-      let st = Vanalysis.Effect.stats configs in
-      if json then
-        print_json
-          Vjson.(
-            Obj
-              [ ("configs", json_int (List.length configs));
-                ("stable", json_int st.Vanalysis.Effect.st_stable);
-                ("escapes", json_int st.st_escape);
-                ("inapplicable", json_int st.st_inapplicable);
-                ("precision", Num (Vanalysis.Effect.precision st)) ])
-      else begin
-        List.iter
-          (fun c -> print_endline (Vanalysis.Effect.config_to_string c))
-          (Vanalysis.Effect.failures configs);
-        Printf.printf
-          "%d configuration(s): %d stable, %d EFFECT ESCAPE(S), %d \
-           inapplicable\n"
-          (List.length configs) st.Vanalysis.Effect.st_stable st.st_escape
-          st.st_inapplicable;
-        Printf.printf "effect precision %.4f\n"
-          (Vanalysis.Effect.precision st)
-      end;
-      if not (Vanalysis.Effect.sound configs) then exit 1
-    end
-    else begin
-      let summaries = Vanalysis.Effect.analyze_kernels ~n kernels in
-      if json then
-        print_json
-          (Vjson.List (List.map Vanalysis.Effect.summary_to_json summaries))
-      else List.iter (Vanalysis.Effect.print_summary stdout) summaries
-    end
+  let crosscheck_n =
+    let pick crosscheck n =
+      match (crosscheck, n) with
+      | Some _, Some _ -> Error "-n applies to the summaries, not --crosscheck"
+      | _ -> Ok (crosscheck, Option.value n ~default:Vanalysis.Absint.default_n)
+    in
+    Term.(term_result' (const pick $ crosscheck $ n_arg))
+  in
+  let run kernels json (crosscheck, n) =
+    match crosscheck with
+    | Some vfs -> crosscheck_gate Effects ?vfs ~json kernels
+    | None ->
+        let summaries = Vanalysis.Effect.analyze_kernels ~n kernels in
+        if json then
+          print_json
+            (Vjson.List (List.map Vanalysis.Effect.summary_to_json summaries))
+        else List.iter (Vanalysis.Effect.print_summary stdout) summaries
   in
   Cmd.v
     (Cmd.info "effects"
@@ -562,9 +532,7 @@ let effects_cmd =
          "Per-array may-read/may-write effect summaries with affine \
           regions and buffer ownership; optionally cross-check stability \
           under every transform x VF against observed access traces")
-    Term.(
-      const run $ kernels_arg full_registry $ json_arg $ crosscheck_flag
-      $ vfs_arg $ effects_n_arg)
+    Term.(const run $ kernels_arg full_registry $ json_arg $ crosscheck_n)
 
 (* --- absint ------------------------------------------------------------------ *)
 

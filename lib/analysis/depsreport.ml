@@ -1,20 +1,14 @@
-(* Dependence reporting and the legality-vs-validator cross-check.
+(* Dependence reporting.
 
    [summarize] renders the nest-wide dependence graph, idiom tags and the
    legality oracle's verdict space for one kernel — the payload behind
-   [vecmodel deps].  [crosscheck] is the empirical soundness gate: for every
-   (transform, VF) configuration the oracle rules on, force the transform
-   (bypassing the oracle) and ask the translation validator *and* the
-   reference interpreter whether the result preserves semantics.  An
-   oracle-legal configuration the validator rejects is a soundness bug and
-   fails the gate; an oracle-illegal configuration the validator accepts is
-   mere conservatism and only lowers recall. *)
+   [vecmodel deps].  The oracle's empirical soundness gate is
+   [Crosscheck]'s [Semantics] obligation. *)
 
 open Vir
 module G = Vdeps.Depgraph
 module S = Vdeps.Subscript
 module L = Vdeps.Legality
-module I = Vinterp.Interp
 
 type summary = {
   s_kernel : string;
@@ -95,161 +89,3 @@ let print_summary oc (s : summary) =
         (String.concat ", " (List.map Vdeps.Idiom.to_string idioms)));
   Printf.fprintf oc "%s\n"
     (Format.asprintf "%a" L.pp s.s_legality)
-
-(* --- the cross-check ---------------------------------------------------------- *)
-
-type verdict =
-  | True_positive  (* oracle legal, validator agrees *)
-  | False_positive  (* oracle legal, validator refutes: soundness bug *)
-  | False_negative  (* oracle illegal, validator passes: conservatism *)
-  | True_negative  (* oracle illegal, validator refutes *)
-  | Inapplicable of string  (* transform failed for a non-legality reason *)
-
-type config = {
-  c_kernel : string;
-  c_transform : Driver.transform;  (* Tllv or Tslp only *)
-  c_vf : int;
-  c_verdict : verdict;
-}
-
-(* Reductions tolerate reassociation noise (relative 1e-4); NaN equals
-   NaN. *)
-let red_equal r1 r2 =
-  List.length r1 = List.length r2
-  && List.for_all2
-       (fun (n1, v1) (n2, v2) ->
-         String.equal n1 n2
-         && (Equiv.float_eq v1 v2
-             || abs_float (v1 -. v2)
-                <= 1e-4 *. (abs_float v1 +. abs_float v2 +. 1.0)))
-       r1 r2
-
-(* The source kernel's behaviour at size [n]: its final memory and
-   reductions, or [None] where the reference interpreter raises (no
-   reference behaviour at that size).  Each size runs once, however many
-   configurations of the kernel ask. *)
-let reference (k : Kernel.t) =
-  let memo = Vpar.Memo.create () in
-  fun n ->
-    Vpar.Memo.find_or_compute memo n (fun () ->
-        match I.run ~n k with
-        | exception _ -> None
-        | rs -> Some (Vinterp.Env.snapshot rs.I.env, rs.I.reductions))
-
-(* The validator: multiset translation validation AND reference-interpreter
-   equivalence at every size in [Equiv.semantic_sizes].  The multiset check
-   alone cannot see execution-order violations (it compares which locations
-   are touched, not in what order), so the interpreter leg is what catches
-   an illegal width actually computing wrong values. *)
-let validates_against reference (vk : Vvect.Vinstr.vkernel) =
-  Diag.count_errors (Equiv.vkernel_diags vk) = 0
-  && List.for_all
-       (fun n ->
-         match reference n with
-         | None -> true
-         | Some (mem, reds) -> (
-             match Vvect.Vexec.run ~n vk with
-             | exception _ -> false
-             | rv ->
-                 Vinterp.Env.snapshot rv.I.env = mem
-                 && red_equal reds rv.I.reductions))
-       Equiv.semantic_sizes
-
-let validates (k : Kernel.t) (vk : Vvect.Vinstr.vkernel) : bool =
-  validates_against (reference k) vk
-
-let check_config (k : Kernel.t) reference (tr : Driver.transform) ~vf : verdict =
-  let legal, forced =
-    match tr with
-    | Driver.Tllv ->
-        ( L.llv_ok k ~vf,
-          (match Vvect.Llv.vectorize ~vf ~force:true k with
-          | Ok vk -> Ok vk
-          | Error e -> Error (Vvect.Llv.error_to_string e)) )
-    | Driver.Tslp ->
-        ( L.slp_ok k ~vf,
-          (match Vvect.Slp.vectorize ~vf ~force:true k with
-          | Ok vk -> Ok vk
-          | Error e -> Error (Vvect.Slp.error_to_string e)) )
-    | Driver.Tunroll -> invalid_arg "check_config: unroll is always legal"
-  in
-  match forced with
-  | Error reason -> Inapplicable reason
-  | Ok vk -> (
-      let ok = validates_against reference vk in
-      match (legal, ok) with
-      | true, true -> True_positive
-      | true, false -> False_positive
-      | false, true -> False_negative
-      | false, false -> True_negative)
-
-let default_vfs = Driver.default_vfs
-
-let crosscheck_kernel ?(vfs = default_vfs) (k : Kernel.t) : config list =
-  let reference = reference k in
-  List.concat_map
-    (fun tr ->
-      List.map
-        (fun vf ->
-          {
-            c_kernel = k.Kernel.name;
-            c_transform = tr;
-            c_vf = vf;
-            c_verdict = check_config k reference tr ~vf;
-          })
-        vfs)
-    [ Driver.Tllv; Driver.Tslp ]
-
-let crosscheck ?vfs ks =
-  List.concat (Vpar.Pool.parallel_map (crosscheck_kernel ?vfs) ks)
-
-type stats = {
-  st_tp : int;
-  st_fp : int;
-  st_fn : int;
-  st_tn : int;
-  st_inapplicable : int;
-}
-
-let stats configs =
-  List.fold_left
-    (fun st c ->
-      match c.c_verdict with
-      | True_positive -> { st with st_tp = st.st_tp + 1 }
-      | False_positive -> { st with st_fp = st.st_fp + 1 }
-      | False_negative -> { st with st_fn = st.st_fn + 1 }
-      | True_negative -> { st with st_tn = st.st_tn + 1 }
-      | Inapplicable _ -> { st with st_inapplicable = st.st_inapplicable + 1 })
-    { st_tp = 0; st_fp = 0; st_fn = 0; st_tn = 0; st_inapplicable = 0 }
-    configs
-
-(* Precision: of the configurations the oracle admits, the fraction the
-   validator confirms.  Soundness demands 1.0.  Recall: of the
-   configurations that are in fact safe, the fraction the oracle admits —
-   a measure of (useful) aggressiveness. *)
-let precision st =
-  if st.st_tp + st.st_fp = 0 then 1.0
-  else float_of_int st.st_tp /. float_of_int (st.st_tp + st.st_fp)
-
-let recall st =
-  if st.st_tp + st.st_fn = 0 then 1.0
-  else float_of_int st.st_tp /. float_of_int (st.st_tp + st.st_fn)
-
-let sound configs =
-  List.for_all (fun c -> c.c_verdict <> False_positive) configs
-
-let failures configs =
-  List.filter (fun c -> c.c_verdict = False_positive) configs
-
-let config_to_string c =
-  let v =
-    match c.c_verdict with
-    | True_positive -> "legal, validated"
-    | False_positive -> "LEGAL BUT REFUTED"
-    | False_negative -> "refused, but safe"
-    | True_negative -> "refused, refuted"
-    | Inapplicable why -> "inapplicable: " ^ why
-  in
-  Printf.sprintf "%s %s vf=%d: %s" c.c_kernel
-    (Driver.transform_to_string c.c_transform)
-    c.c_vf v

@@ -35,18 +35,28 @@ type report = {
   r_vector : vec_result list;
 }
 
-let validate_transformed tr ~vf (k : Kernel.t) : vec_outcome =
+(* A transform applied to a kernel: the vectorizers give a vector kernel,
+   unrolling a scalar one. *)
+type applied = Vector of Vvect.Vinstr.vkernel | Unrolled of Kernel.t
+
+(* The one place a transform is applied.  [force] skips the vectorizers'
+   legality oracle (the cross-check's forced configurations); unrolling
+   always applies. *)
+let apply ?(force = false) tr ~vf (k : Kernel.t) =
+  let vector error_to_string = function
+    | Ok vk -> Ok (Vector vk)
+    | Error e -> Error (error_to_string e)
+  in
   match tr with
-  | Tllv -> (
-      match Vvect.Llv.vectorize ~vf k with
-      | Ok vk -> Checked (Vvalidate.errors vk)
-      | Error e -> Skipped (Vvect.Llv.error_to_string e))
-  | Tslp -> (
-      match Vvect.Slp.vectorize ~vf k with
-      | Ok vk -> Checked (Vvalidate.errors vk)
-      | Error e -> Skipped (Vvect.Slp.error_to_string e))
-  | Tunroll ->
-      let u = Vvect.Unroll.by vf k in
+  | Tllv -> vector Vvect.Llv.error_to_string (Vvect.Llv.vectorize ~vf ~force k)
+  | Tslp -> vector Vvect.Slp.error_to_string (Vvect.Slp.vectorize ~vf ~force k)
+  | Tunroll -> Ok (Unrolled (Vvect.Unroll.by vf k))
+
+let validate_transformed tr ~vf (k : Kernel.t) : vec_outcome =
+  match apply tr ~vf k with
+  | Error reason -> Skipped reason
+  | Ok (Vector vk) -> Checked (Vvalidate.errors vk)
+  | Ok (Unrolled u) ->
       let structural =
         List.map
           (fun m ->

@@ -29,6 +29,17 @@ type report = {
   r_vector : vec_result list;
 }
 
+(** A transform applied to a kernel. *)
+type applied =
+  | Vector of Vvect.Vinstr.vkernel  (** LLV or SLP *)
+  | Unrolled of Kernel.t
+
+(** Apply one transform at [vf]: the error is why it does not apply.
+    [force] (default [false]) bypasses the vectorizers' legality oracle;
+    unrolling always applies. *)
+val apply :
+  ?force:bool -> transform -> vf:int -> Kernel.t -> (applied, string) result
+
 (** Vectorize (or unroll) and validate one configuration. *)
 val validate_transformed : transform -> vf:int -> Kernel.t -> vec_outcome
 

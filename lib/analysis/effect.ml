@@ -7,21 +7,12 @@
    intervals from the abstract interpreter — and with the relational
    domain's parametric in-bounds verdicts.
 
-   [crosscheck] is the empirical soundness gate, mirroring
-   [Depsreport.crosscheck]: for every (transform, VF) configuration over
-   LLV, SLP and unroll, the transformed kernel's effects must stay inside
-   the source summary.  Statically, a walker over the vector IR (or the
-   unrolled scalar body) must be subsumed by the source license; for
-   oracle-legal configurations the transformed kernel is additionally
-   *run* with the interpreter's access trace installed, and every
-   observed access must hit a licensed (array, direction) inside its
-   static region.  Any escape is a soundness failure: it means the
-   ownership decisions derived from the source summary would have been
-   wrong for the code the backend actually executes. *)
+   [vkernel_effects] walks a vectorized kernel's wide body: [Crosscheck]'s
+   [Effects] obligation holds every transformed kernel to the source
+   summary. *)
 
 open Vir
 module E = Vexec.Effects
-module L = Vdeps.Legality
 
 (* --- summaries ------------------------------------------------------------ *)
 
@@ -165,249 +156,6 @@ let vkernel_effects (vk : Vvect.Vinstr.vkernel) : E.t =
     |> List.sort (fun (a : E.entry) b -> String.compare a.E.e_array b.E.e_array)
   in
   { E.ef_kernel = vk.Vvect.Vinstr.scalar.Kernel.name; ef_entries = entries }
-
-(* --- observed traces ------------------------------------------------------- *)
-
-(* Observed access footprint of one run: (array, is_write) -> index range. *)
-type observed = (string * bool, int ref * int ref) Hashtbl.t
-
-let observe run : (observed, string) result =
-  let tbl : observed = Hashtbl.create 16 in
-  let on_access arr idx write =
-    let key = (arr, write) in
-    match Hashtbl.find_opt tbl key with
-    | Some (lo, hi) ->
-        if idx < !lo then lo := idx;
-        if idx > !hi then hi := idx
-    | None -> Hashtbl.replace tbl key (ref idx, ref idx)
-  in
-  match run on_access with
-  | () -> Ok tbl
-  | exception e -> Error (Printexc.to_string e)
-
-let observe_vkernel ~seed ~n (vk : Vvect.Vinstr.vkernel) =
-  observe (fun on_access ->
-      let env = Vinterp.Env.create ~seed ~n vk.Vvect.Vinstr.scalar in
-      Vinterp.Env.set_trace env on_access;
-      let r = Vvect.Vexec.run_in env vk in
-      Vinterp.Env.clear_trace env;
-      ignore r)
-
-let observe_kernel ~seed ~n (k : Kernel.t) =
-  observe (fun on_access ->
-      let env = Vinterp.Env.create ~seed ~n k in
-      Vinterp.Env.set_trace env on_access;
-      let r = Vinterp.Interp.run_in env k in
-      Vinterp.Env.clear_trace env;
-      ignore r)
-
-(* Every observed access must be licensed by the summary and fall inside
-   its static region at this size.  Unbounded (widened) regions place no
-   index obligation — the license flags still apply.  Violations are
-   returned sorted, so reports are deterministic. *)
-let contained ~license ~regions:regs (tbl : observed) =
-  let viol = ref [] in
-  Hashtbl.iter
-    (fun (arr, write) (lo, hi) ->
-      let dir = if write then "write" else "read" in
-      let licensed =
-        if write then E.may_write license arr else E.may_read license arr
-      in
-      if not licensed then
-        viol :=
-          Printf.sprintf "unlicensed %s of %s ([%d,%d])" dir arr !lo !hi
-          :: !viol
-      else
-        match
-          List.find_opt
-            (fun r -> String.equal r.r_array arr && r.r_write = write)
-            regs
-        with
-        | Some r when Interval.is_bounded r.r_range ->
-            if
-              not
-                (Interval.contains_int r.r_range !lo
-                && Interval.contains_int r.r_range !hi)
-            then
-              viol :=
-                Printf.sprintf
-                  "%s of %s at [%d,%d] escapes static region %s" dir arr !lo
-                  !hi
-                  (Interval.to_string r.r_range)
-                :: !viol
-        | _ -> ())
-    tbl;
-  List.sort String.compare !viol
-
-(* --- the cross-check ------------------------------------------------------- *)
-
-type verdict =
-  | Stable  (* static containment holds; trace containment too, if legal *)
-  | Escape of string  (* transformed effects escape the source summary *)
-  | Inapplicable of string  (* transform failed for a structural reason *)
-
-type config = {
-  c_kernel : string;
-  c_transform : Driver.transform;
-  c_vf : int;
-  c_legal : bool;  (* whether the legality oracle admits the config *)
-  c_verdict : verdict;
-}
-
-let trace_sizes = Equiv.semantic_sizes
-let trace_seed = 42
-
-(* Whether the source kernel has reference behaviour at size [n]: its run
-   (seed [trace_seed]) completes.  Each size runs once per kernel, however
-   many of its configurations ask. *)
-let source_runs (k : Kernel.t) =
-  let memo = Vpar.Memo.create () in
-  fun n ->
-    Vpar.Memo.find_or_compute memo n (fun () ->
-        match Vinterp.Interp.run ~seed:trace_seed ~n k with
-        | exception _ -> false
-        | _ -> true)
-
-(* Trace containment at every size in [sizes].  [run_t ~n] executes the
-   transformed kernel under an installed access trace.  A size where the
-   *source* kernel has no reference behaviour is skipped, as in
-   [Depsreport.validates]; a transformed run that traps where the source
-   does not is itself an escape. *)
-let trace_check ~sizes ~license ~source_runs k run_t =
-  let rec go = function
-    | [] -> Stable
-    | n :: rest ->
-        if not (source_runs n) then go rest
-        else (
-          match run_t ~n with
-          | Error e -> Escape (Printf.sprintf "n=%d: run trapped: %s" n e)
-          | Ok tbl -> (
-              match contained ~license ~regions:(regions ~n k) tbl with
-              | [] -> go rest
-              | v :: _ -> Escape (Printf.sprintf "n=%d: %s" n v)))
-  in
-  go sizes
-
-let check_config (k : Kernel.t) ~source_runs (tr : Driver.transform) ~vf :
-    bool * verdict =
-  let license = E.of_kernel k in
-  let static_then_trace ?(sizes = trace_sizes) ~legal sub run_t =
-    if not (E.subsumes ~summary:license sub) then
-      ( legal,
-        Escape
-          (Printf.sprintf "static: transformed effects [%s] escape [%s]"
-             (E.to_string sub) (E.to_string license)) )
-    else if not legal then (legal, Stable)
-      (* forced-illegal configurations carry the static obligation only:
-         their runtime semantics are not the source's, so an observed
-         trace would compare apples to oranges *)
-    else (legal, trace_check ~sizes ~license ~source_runs k run_t)
-  in
-  match tr with
-  | Driver.Tllv -> (
-      let legal = L.llv_ok k ~vf in
-      match Vvect.Llv.vectorize ~vf ~force:true k with
-      | Error e -> (legal, Inapplicable (Vvect.Llv.error_to_string e))
-      | Ok vk ->
-          static_then_trace ~legal (vkernel_effects vk) (fun ~n ->
-              observe_vkernel ~seed:trace_seed ~n vk))
-  | Driver.Tslp -> (
-      let legal = L.slp_ok k ~vf in
-      match Vvect.Slp.vectorize ~vf ~force:true k with
-      | Error e -> (legal, Inapplicable (Vvect.Slp.error_to_string e))
-      | Ok vk ->
-          static_then_trace ~legal (vkernel_effects vk) (fun ~n ->
-              observe_vkernel ~seed:trace_seed ~n vk))
-  | Driver.Tunroll ->
-      let u = Vvect.Unroll.by vf k in
-      (* The unroller suffixes the kernel name; the effect obligation is
-         against the *source* summary, so analyze the unrolled body under
-         the source name. *)
-      let sub = E.of_kernel { u with Kernel.name = k.Kernel.name } in
-      (* Unrolling is only an exact transformation at sizes where the
-         innermost trip divides the factor — elsewhere the unrolled body
-         overshoots the source iteration space by construction, which is
-         an artefact of the size, not an effect escape.  Trace at the
-         nearest exact size at or above each requested one. *)
-      let exact_sizes =
-        List.sort_uniq compare
-          (List.filter_map
-             (fun n ->
-               let rec find m =
-                 if m > n + (8 * vf) then None
-                 else if Vvect.Unroll.exact_for ~n:m k vf then Some m
-                 else find (m + 1)
-               in
-               find n)
-             trace_sizes)
-      in
-      static_then_trace ~sizes:exact_sizes ~legal:true sub (fun ~n ->
-          observe_kernel ~seed:trace_seed ~n u)
-
-let default_vfs = Driver.default_vfs
-
-let crosscheck_kernel ?(vfs = default_vfs) (k : Kernel.t) : config list =
-  let source_runs = source_runs k in
-  List.concat_map
-    (fun tr ->
-      List.map
-        (fun vf ->
-          let legal, verdict = check_config k ~source_runs tr ~vf in
-          {
-            c_kernel = k.Kernel.name;
-            c_transform = tr;
-            c_vf = vf;
-            c_legal = legal;
-            c_verdict = verdict;
-          })
-        vfs)
-    Driver.all_transforms
-
-let crosscheck ?vfs ks =
-  List.concat (Vpar.Pool.parallel_map (crosscheck_kernel ?vfs) ks)
-
-type stats = { st_stable : int; st_escape : int; st_inapplicable : int }
-
-let stats configs =
-  List.fold_left
-    (fun st c ->
-      match c.c_verdict with
-      | Stable -> { st with st_stable = st.st_stable + 1 }
-      | Escape _ -> { st with st_escape = st.st_escape + 1 }
-      | Inapplicable _ ->
-          { st with st_inapplicable = st.st_inapplicable + 1 })
-    { st_stable = 0; st_escape = 0; st_inapplicable = 0 }
-    configs
-
-(* Of the applicable configurations, the fraction whose transformed
-   effects stay inside the source summary.  Soundness demands 1.0. *)
-let precision st =
-  if st.st_stable + st.st_escape = 0 then 1.0
-  else
-    float_of_int st.st_stable /. float_of_int (st.st_stable + st.st_escape)
-
-let sound configs =
-  List.for_all
-    (fun c -> match c.c_verdict with Escape _ -> false | _ -> true)
-    configs
-
-let failures configs =
-  List.filter
-    (fun c -> match c.c_verdict with Escape _ -> true | _ -> false)
-    configs
-
-let config_to_string c =
-  let v =
-    match c.c_verdict with
-    | Stable -> "stable"
-    | Escape why -> "EFFECT ESCAPE: " ^ why
-    | Inapplicable why -> "inapplicable: " ^ why
-  in
-  Printf.sprintf "%s %s vf=%d%s: %s" c.c_kernel
-    (Driver.transform_to_string c.c_transform)
-    c.c_vf
-    (if c.c_legal then "" else " (illegal, forced)")
-    v
 
 (* --- rendering ------------------------------------------------------------- *)
 

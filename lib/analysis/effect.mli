@@ -4,12 +4,8 @@
     license the runtime's buffer-ownership discipline consumes
     ([Vexec.Effects]) — refined with affine flat-index regions from the
     abstract interpreter and the relational domain's parametric
-    in-bounds verdicts.  [crosscheck] proves the summary stable under
-    every LLV/SLP/unroll x VF transform: the transformed kernel's
-    effects must be subsumed statically, and (for oracle-legal
-    configurations) every access observed through the interpreter's
-    trace hook must hit a licensed (array, direction) inside its static
-    region. *)
+    in-bounds verdicts.  {!Crosscheck}'s [Effects] obligation proves the
+    summary stable under every LLV/SLP/unroll x VF transform. *)
 
 open Vir
 
@@ -28,6 +24,10 @@ type summary = {
   e_rel_total : int;
 }
 
+(** One region per (array, direction) the kernel accesses at size [n],
+    sorted by (array, write). *)
+val regions : n:int -> Kernel.t -> region list
+
 val analyze : ?n:int -> Kernel.t -> summary
 
 (** Registry-order parallel map of {!analyze}. *)
@@ -39,35 +39,6 @@ val region : summary -> array:string -> write:bool -> region option
 (** Effect summary of a vectorized kernel's wide body (the scalar
     epilogue's effects are the source summary by construction). *)
 val vkernel_effects : Vvect.Vinstr.vkernel -> Vexec.Effects.t
-
-(** {2 The cross-check} *)
-
-type verdict =
-  | Stable
-  | Escape of string  (** transformed effects escape the source summary *)
-  | Inapplicable of string
-
-type config = {
-  c_kernel : string;
-  c_transform : Driver.transform;
-  c_vf : int;
-  c_legal : bool;
-  c_verdict : verdict;
-}
-
-val crosscheck : ?vfs:int list -> Kernel.t list -> config list
-
-type stats = { st_stable : int; st_escape : int; st_inapplicable : int }
-
-val stats : config list -> stats
-
-(** Of the applicable configurations, the fraction whose transformed
-    effects stay inside the source summary.  Soundness demands 1.0. *)
-val precision : stats -> float
-
-val sound : config list -> bool
-val failures : config list -> config list
-val config_to_string : config -> string
 
 (** {2 Rendering} (byte-stable across worker counts) *)
 

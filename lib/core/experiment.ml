@@ -313,10 +313,10 @@ let f11 () =
    against the translation validator. *)
 let f12 () =
   let configs =
-    Vanalysis.Depsreport.crosscheck
+    Vanalysis.Crosscheck.run Semantics
       (List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) Tsvc.Registry.all)
   in
-  let st = Vanalysis.Depsreport.stats configs in
+  let st = Vanalysis.Crosscheck.stats configs in
   table ~id:"F12"
     ~title:"Dependence features: carried distances, depths and idiom tags"
     ~computed:(columns_delta "deps")
@@ -326,9 +326,9 @@ let f12 () =
     [ Printf.sprintf
         "      legality oracle vs validator: precision %.4f, recall %.4f \
          over %d configs (%d inapplicable)"
-        (Vanalysis.Depsreport.precision st)
-        (Vanalysis.Depsreport.recall st)
-        (List.length configs) st.Vanalysis.Depsreport.st_inapplicable;
+        (Vanalysis.Crosscheck.precision st)
+        (Vanalysis.Crosscheck.recall st)
+        (List.length configs) st.Vanalysis.Crosscheck.st_inapplicable;
       "      (the oracle must be sound: precision < 1 fails the CI gate)" ]
 
 (* --- F13: static safety-certificate features ------------------------------ *)

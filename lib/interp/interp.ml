@@ -221,7 +221,7 @@ let run_in ?observe env (k : Kernel.t) =
   drive env k.loops [] (fun idx -> exec_body observe env k ~idx ~accs);
   List.mapi (fun j (r : Kernel.reduction) -> (r.red_name, accs.(j))) k.reductions
 
-let run ?seed ~n (k : Kernel.t) =
-  let env = Env.create ?seed ~n k in
+let run ~n (k : Kernel.t) =
+  let env = Env.create ~n k in
   let reductions = run_in env k in
   { env; reductions }

@@ -33,5 +33,5 @@ type result = { env : Env.t; reductions : (string * float) list }
 val run_in :
   ?observe:(int -> value -> unit) -> Env.t -> Vir.Kernel.t -> (string * float) list
 
-(** Allocate a fresh environment and run. *)
-val run : ?seed:int -> n:int -> Vir.Kernel.t -> result
+(** Allocate a fresh environment (the default seed) and run. *)
+val run : n:int -> Vir.Kernel.t -> result

@@ -18,28 +18,22 @@
        (gather/strided/reversed, reductions) — exercises the idiom path. *)
 
 module A = Vanalysis
-module K = Vir.Kernel
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let vfs = [ 2; 4; 8 ]
 
-(* No oracle-legal configuration may fail the validator; returns the
-   failures so the property can name them. *)
-let soundness_failures (k : K.t) =
-  A.Depsreport.crosscheck_kernel ~vfs k |> A.Depsreport.failures
-
+(* No oracle-legal configuration may fail the validator; a failing
+   kernel's summary names the configurations. *)
 let prop_of ~name ~count gen =
   QCheck.Test.make ~count ~name
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let k = gen seed in
-      match soundness_failures k with
-      | [] -> true
-      | c :: _ ->
-          QCheck.Test.fail_reportf "oracle unsound: %s"
-            (A.Depsreport.config_to_string c))
+      let configs = A.Crosscheck.run Semantics ~vfs [ gen seed ] in
+      A.Crosscheck.sound configs
+      || (A.Crosscheck.print_summary Semantics stdout configs;
+          false))
 
 let test_dep_kernels_prop =
   prop_of ~name:"oracle sound on dependence-stress kernels (200 seeds)"
@@ -82,53 +76,35 @@ let test_interchange_prop =
    well above a vectorize-nothing strawman). *)
 let test_registry_crosscheck_gate () =
   let ks = Tsvc.Registry.kernels in
-  let configs = A.Depsreport.crosscheck ks in
-  let st = A.Depsreport.stats configs in
-  List.iter
-    (fun c -> Printf.printf "  %s\n" (A.Depsreport.config_to_string c))
-    (A.Depsreport.failures configs);
-  check "oracle sound on the registry" true (A.Depsreport.sound configs);
-  check "precision 1.0" true (A.Depsreport.precision st = 1.0);
-  check "recall above 0.85" true (A.Depsreport.recall st > 0.85);
+  let configs = A.Crosscheck.run Semantics ks in
+  let st = A.Crosscheck.stats configs in
+  A.Crosscheck.print_summary Semantics stdout configs;
+  check "oracle sound on the registry" true (A.Crosscheck.sound configs);
+  check "precision 1.0" true (A.Crosscheck.precision st = 1.0);
+  check "recall above 0.85" true (A.Crosscheck.recall st > 0.85);
   check_int "every kernel rated at every configuration"
     (2 * List.length vfs * List.length ks)
     (List.length configs)
 
-(* A kernel's configurations share one reference run per size; every
-   verdict must equal the one a configuration gets when it validates from
-   scratch, as [Depsreport.validates] does. *)
+(* A kernel's configurations share one source memo: the reference run and
+   the static regions at each size.  Under either obligation, every verdict
+   must equal the one its configuration gets against a fresh memo of its
+   own. *)
 let test_shared_reference_verdicts () =
-  let from_scratch k (tr : A.Driver.transform) vf =
-    let legal, forced =
-      match tr with
-      | A.Driver.Tllv ->
-          ( Vdeps.Legality.llv_ok k ~vf,
-            Result.map_error Vvect.Llv.error_to_string
-              (Vvect.Llv.vectorize ~vf ~force:true k) )
-      | A.Driver.Tslp ->
-          ( Vdeps.Legality.slp_ok k ~vf,
-            Result.map_error Vvect.Slp.error_to_string
-              (Vvect.Slp.vectorize ~vf ~force:true k) )
-      | A.Driver.Tunroll -> Alcotest.fail "unroll is not cross-checked"
-    in
-    match forced with
-    | Error reason -> A.Depsreport.Inapplicable reason
-    | Ok vk -> (
-        match (legal, A.Depsreport.validates k vk) with
-        | true, true -> A.Depsreport.True_positive
-        | true, false -> A.Depsreport.False_positive
-        | false, true -> A.Depsreport.False_negative
-        | false, false -> A.Depsreport.True_negative)
-  in
   List.iter
     (fun k ->
       List.iter
-        (fun (c : A.Depsreport.config) ->
-          check
-            (A.Depsreport.config_to_string c ^ " = from scratch")
-            true
-            (c.c_verdict = from_scratch k c.c_transform c.c_vf))
-        (A.Depsreport.crosscheck_kernel k))
+        (fun ob ->
+          List.iter
+            (fun (c : A.Crosscheck.config) ->
+              check
+                (Printf.sprintf "%s %s vf=%d = from scratch" c.c_kernel
+                   (A.Driver.transform_to_string c.c_transform)
+                   c.c_vf)
+                true
+                (c = A.Crosscheck.check ob k c.c_transform ~vf:c.c_vf))
+            (A.Crosscheck.run ob [ k ]))
+        [ A.Crosscheck.Semantics; Effects ])
     (Tsvc.Registry.kernels
     @ List.map (fun (e : Tsvc.Registry.entry) -> e.kernel) Vapps.Registry.as_tsvc_entries)
 
@@ -164,7 +140,7 @@ let test_reduction_now_admitted () =
   match Vvect.Slp.vectorize ~vf:4 k with
   | Error e -> Alcotest.failf "s311 still refused: %s" (Vvect.Slp.error_to_string e)
   | Ok vk ->
-      check "validator accepts" true (A.Depsreport.validates k vk);
+      check "validator accepts" true (A.Crosscheck.validates k vk);
       check_int "one horizontal reduction" 1
         (List.length vk.Vvect.Vinstr.vreductions)
 

@@ -96,11 +96,11 @@ let test_vkernel_effects_subsumed () =
    registry-wide version; CI gates on precision 1.0 there too). *)
 let test_effect_crosscheck_slice () =
   let ks = List.filteri (fun i _ -> i mod 15 = 0) registry_kernels in
-  let configs = A.Effect.crosscheck ks in
-  check "slice sound" true (A.Effect.sound configs);
-  let st = A.Effect.stats configs in
-  check "has stable configs" true (st.A.Effect.st_stable > 0);
-  check_int "no escapes" 0 st.A.Effect.st_escape
+  let configs = A.Crosscheck.run Effects ks in
+  check "slice sound" true (A.Crosscheck.sound configs);
+  let st = A.Crosscheck.stats configs in
+  check "has stable configs" true (st.A.Crosscheck.st_tp > 0);
+  check_int "no escapes" 0 st.A.Crosscheck.st_fp
 
 (* effects --all --json must be byte-stable across worker counts: the
    render below is what the CLI emits, serial vs pooled. *)
