@@ -1,10 +1,11 @@
 (** Static safety certificates: per-kernel, per-access bounds verdicts from
     the relational domain ({!Rel}), overlaid with witness-backed
-    refutations from {!Vir.Bounds}, projected to the execution tier as a
-    {!Vexec.License.t}.  A [Vsafe] verdict holds for every problem size
-    n >= 4 and every parameter assignment inside the environment
-    contracts; the closure tier still cross-checks the license against its
-    bind-time interval proof and hard-fails on contradiction. *)
+    refutations from {!Vir.Bounds}.  A [Vsafe] verdict holds for every
+    problem size n >= 4 and every parameter assignment inside the
+    environment contracts.  Certificates are analysis output only:
+    execution picks the closure tier's body on every bind from its own
+    interval proof ({!Vexec.Closure.affine_safe}), and {!gate} holds every
+    guard-free certificate to that proof. *)
 
 type verdict = Vsafe | Vunsafe | Vunknown
 
@@ -26,7 +27,7 @@ type access_cert = {
       (** proving constraint for [Vsafe], concrete witness for [Vunsafe],
           cause for [Vunknown] *)
   ac_align : align;  (** congruence alignment at the certificate's vf;
-                         informational (lint layer), never licenses *)
+                         informational (lint layer) *)
 }
 
 type t = {
@@ -34,8 +35,9 @@ type t = {
   ct_vf : int;
   ct_accesses : access_cert array;
   ct_guard_free : bool;
-      (** every affine access proven: the unchecked body is licensed
-          (indirect accesses keep their guards either way) *)
+      (** every affine access proven: the closure tier's unchecked body is
+          safe at every size (indirect accesses keep their guards either
+          way) *)
   ct_safe : int;
   ct_unsafe : int;
 }
@@ -45,10 +47,8 @@ val default_vf : int
 val certify : ?vf:int -> Vir.Kernel.t -> t
 val safe_frac : t -> float
 
-val license : t -> Vexec.License.t
-
 val bind_time_guard_free : Vir.Kernel.t -> int
-(** Baseline: accesses licensed by the per-bind interval check alone for
+(** Baseline: accesses proven by the per-bind interval check alone for
     the default environment at size 1024 — all-or-nothing per kernel and
     affine-only. *)
 
@@ -70,10 +70,12 @@ type gate = {
 }
 
 val gate : (Vir.Kernel.t * t) list -> gate
-(** The soundness gate: every guard-free kernel is executed under its
-    license and cross-checked against the reference interpreter (any
-    refuted license or divergence is a failure), the certified fraction
-    must reach 0.25, and the static certificates must
-    license strictly more accesses than the bind-time interval check. *)
+(** The soundness gate: the bind-time interval proof
+    ({!Vexec.Closure.affine_safe}) must hold for every guard-free kernel at
+    n = 64, 257 and 32000, and its closure run must match the reference
+    interpreter at 64 and 257 (any refutation, trap or divergence is a
+    failure); the certified fraction must reach 0.25; and the static
+    certificates must prove strictly more accesses than the bind-time
+    interval check. *)
 
 val gate_pass : gate -> bool

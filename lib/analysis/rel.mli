@@ -6,8 +6,8 @@
     {!Vexec.Closure.affine_safe} (exact intervals for one concrete
     binding), a [Safe] verdict here holds for {e every} n >= 4 and every
     parameter assignment inside the environment contracts
-    ({!Vir.Bounds.param_contract}), which is what licenses the guard-free
-    execution path once per kernel instead of once per binding.  Indirect
+    ({!Vir.Bounds.param_contract}): it is a claim about every binding,
+    which {!Cert.gate} checks against the bind-time intervals.  Indirect
     subscripts are bounded through the environment's value contracts (index
     arrays hold a permutation of [0, n); unwritten integer data arrays hold
     values in [1, 4]) by symbolic evaluation of the index operand.

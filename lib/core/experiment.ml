@@ -335,11 +335,11 @@ let f12 () =
 
 (* The cert columns expose what the relational bounds prover certifies about
    each kernel: the fraction of memory accesses proved in-bounds
-   parametrically in n and the runtime parameters, and whether the whole
-   kernel earned a guard-free license.  A guard-free kernel pays no bounds
-   checks in the main loop; the column pair lets the fit price that in.  The
-   note reports the correlation delta plus the registry-wide certification
-   census (static vs bind-time licensed access counts). *)
+   parametrically in n and the runtime parameters, and whether every affine
+   access of the kernel is proven (guard-free).  A guard-free kernel needs
+   no bounds checks in the main loop; the column pair lets the fit price
+   that in.  The note reports the correlation delta plus the registry-wide
+   certification census (static vs bind-time proven access counts). *)
 let cert_census samples =
   let certs =
     List.map

@@ -69,7 +69,7 @@ val f12 : unit -> Report.result
 
 (** F13 (safety certificates): fit with and without the static
     safety-certificate columns (certified-safe access fraction, guard-free
-    license flag from the relational bounds prover); the notes report the
+    flag from the relational bounds prover); the notes report the
     correlation delta and the registry certification census against the
     bind-time interval baseline. *)
 val f13 : unit -> Report.result

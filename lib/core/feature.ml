@@ -282,8 +282,8 @@ let deps_columns (k : Kernel.t) =
 let cert_names = deps_names @ [ "x_cert_safe_frac"; "x_cert_guard_free" ]
 
 (* What the static safety certificate knows: the certified-safe fraction of
-   the body's memory accesses and whether the whole kernel is licensed
-   guard-free.  Both proxy for how much bounds bookkeeping a vectorized
+   the body's memory accesses and whether every affine access is proven
+   (guard-free).  Both proxy for how much bounds bookkeeping a vectorized
    loop would carry at run time — a guard-free kernel vectorizes without
    per-block range checks, a low certified fraction forecasts guarded
    (slower) vector bodies. *)
@@ -308,7 +308,6 @@ type analysis = {
   opt : float array Lazy.t;
   deps : float array Lazy.t;
   cert : float array Lazy.t;
-  certificate : Vanalysis.Cert.t Lazy.t;
 }
 
 let analyze ~n ~vf (k : Kernel.t) =
@@ -327,9 +326,11 @@ let analyze ~n ~vf (k : Kernel.t) =
            opt_columns ~raw:(force raw) ~norm_raw:nraw nk ])
   in
   let deps = lazy (Array.append (force opt) (deps_columns k)) in
-  let certificate = lazy (Vanalysis.Cert.certify ~vf k) in
-  let cert = lazy (Array.append (force deps) (cert_columns (force certificate))) in
-  { raw; norm_raw; rated; extended; absint; opt; deps; cert; certificate }
+  let cert =
+    lazy
+      (Array.append (force deps) (cert_columns (Vanalysis.Cert.certify ~vf k)))
+  in
+  { raw; norm_raw; rated; extended; absint; opt; deps; cert }
 
 let absint ~n ~vf k = Lazy.force (analyze ~n ~vf k).absint
 let opt ~n ~vf k = Lazy.force (analyze ~n ~vf k).opt

@@ -76,7 +76,7 @@ val deps_names : string list
 val deps : n:int -> vf:int -> Vir.Kernel.t -> float array
 
 (** Cert feature set: deps features plus the certified-safe access fraction
-    and the guard-free license flag from [Vanalysis.Cert] (relational
+    and the guard-free flag from [Vanalysis.Cert] (relational
     bounds proofs, parametric in n and the runtime parameters). *)
 val cert_names : string list
 
@@ -99,7 +99,6 @@ type analysis = {
   opt : float array Lazy.t;
   deps : float array Lazy.t;
   cert : float array Lazy.t;
-  certificate : Vanalysis.Cert.t Lazy.t;  (** [Vanalysis.Cert.certify ~vf] *)
 }
 
 val analyze : n:int -> vf:int -> Vir.Kernel.t -> analysis

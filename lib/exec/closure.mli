@@ -25,17 +25,11 @@ val affine_safe : Flat.state -> bool
     the bind-time constants, coefficients and loop ranges; a provably empty
     loop — non-positive steps included — is vacuously safe). *)
 
-val run_bound :
-  ?license:License.t -> Flat.state -> t -> (string * float) list
+val run_bound : Flat.state -> t -> (string * float) list
 (** Reset reduction accumulators, run the compiled nest over the currently
-    bound environment, and return final reduction values.  When [license]
-    covers the program with [Safe] affine verdicts the unchecked body runs
-    unconditionally, with [affine_safe] as a mandatory per-bind cross-check:
-    a refuted license raises [Invalid_argument] (hard failure) instead of
-    running unguarded.  Without a covering license the unchecked body runs
-    only on binds where [affine_safe] holds. *)
+    bound environment, and return final reduction values.  The unchecked
+    body runs exactly on binds where [affine_safe] holds, the checked body
+    on every other. *)
 
-val run_in :
-  ?license:License.t -> Flat.state -> t -> Vinterp.Env.t ->
-  (string * float) list
+val run_in : Flat.state -> t -> Vinterp.Env.t -> (string * float) list
 (** [Flat.bind] then [run_bound]. *)

@@ -13,8 +13,8 @@
    why the analysis library cross-checks it against observed access
    traces (see [Analysis.Effect]).
 
-   Like [License], this module lives in [lib/exec] so the execution tiers
-   depend only on the data the analysis emits, never on the prover. *)
+   This module lives in [lib/exec] so the execution tiers depend only on
+   the data the analysis emits, never on the prover. *)
 
 type entry = {
   e_array : string;

@@ -55,11 +55,11 @@ type measurement = {
 
 type execution = { exec_digest : string (* "trap:..." when the kernel traps *) }
 
-let execute ?backend ?license ?(seed = 42) ?(repeats = 1) ~n (k : Kernel.t) =
+let execute ?backend ?(seed = 42) ?(repeats = 1) ~n (k : Kernel.t) =
   let backend =
     match backend with Some b -> b | None -> Vexec.Backend.default ()
   in
-  let prepared = Vexec.Backend.prepare ?license backend k in
+  let prepared = Vexec.Backend.prepare backend k in
   (* Ownership of the working set comes from the kernel's effect license:
      arrays the summary proves unwritten are [Frozen] (they alias the
      shared initialization masters instead of being copied per sample),

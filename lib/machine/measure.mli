@@ -29,10 +29,7 @@ type execution = {
     when omitted) and fingerprint the final memory image and reductions.
     [repeats] re-runs over the same buffers via [Env.reset] and requires the
     digest to be bit-identical each time (raises [Invalid_argument]
-    otherwise).  [license] is a static safety certificate passed through to
-    {!Vexec.Backend.prepare}: on the closure tier it selects the unchecked
-    body once per kernel instead of per bind (a refuted license surfaces as
-    a ["trap:..."] digest, which the soundness tests reject).
+    otherwise).
 
     Buffer ownership comes from the kernel's effect license
     ({!Vexec.Effects.of_kernel}): arrays it proves unwritten alias the
@@ -42,5 +39,5 @@ type execution = {
     master after the measured runs — which the post-run verification must
     catch. *)
 val execute :
-  ?backend:Vexec.Backend.t -> ?license:Vexec.License.t -> ?seed:int ->
-  ?repeats:int -> n:int -> Vir.Kernel.t -> execution
+  ?backend:Vexec.Backend.t -> ?seed:int -> ?repeats:int -> n:int ->
+  Vir.Kernel.t -> execution
