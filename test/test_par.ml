@@ -315,6 +315,32 @@ let test_cache_key_includes_config () =
          x.measured <> y.measured)
        a b)
 
+(* Two machines that differ only in an op table: a copy of neon-a57 whose
+   vector FP ops have 8x the reciprocal throughput, same name.  Built after
+   the builtin in one process it must miss the cache and get the samples a
+   fresh cache builds for it, not the builtin's. *)
+let test_cache_key_includes_op_tables () =
+  let base = Vmachine.Machines.neon_a57 in
+  let slow =
+    { base with
+      Vmachine.Descr.vector_op =
+        (fun c ty ->
+          let i = base.vector_op c ty in
+          if Vir.Types.is_float ty then { i with rtp = 8.0 *. i.rtp } else i) }
+  in
+  let entries = List.filteri (fun i _ -> i < 24) Tsvc.Registry.all in
+  let build machine =
+    Dataset.build ~machine ~transform:Dataset.Llv ~n:1024 entries
+  in
+  let speedups = List.map (fun (s : Dataset.sample) -> s.measured) in
+  Dataset.cache_clear ();
+  let fresh = speedups (build slow) in
+  Dataset.cache_clear ();
+  let builtin = speedups (build base) in
+  let after = speedups (build slow) in
+  check_bool "the op tables change a speedup" true (fresh <> builtin);
+  check_bool "the copy gets its own samples" true (after = fresh)
+
 let test_registry_cache_counts () =
   (* Pins how often a cold registry pass looks samples, executions and
      LOOCV predictions up: a table that looked its sample set up twice
@@ -373,6 +399,8 @@ let tests =
       test_cache_returns_equal_samples;
     Alcotest.test_case "cache key includes config" `Quick
       test_cache_key_includes_config;
+    Alcotest.test_case "cache key includes op tables" `Quick
+      test_cache_key_includes_op_tables;
     Alcotest.test_case "registry cache counts" `Quick
       test_registry_cache_counts;
     Alcotest.test_case "cache disable" `Quick test_cache_disable ]
