@@ -279,35 +279,10 @@ let test_gather_misses_l1 () =
 let tiny =
   { mem with Vmachine.Descr.l1_bytes = 1024; l2_bytes = 4096; l3_bytes = 12288 }
 
-(* The simulation follows the process backend; interpreter and closure
-   traces must give the same stats on every kernel. *)
-let test_backends_agree () =
-  let kernels =
-    List.map (fun (e : Tsvc.Registry.entry) -> e.kernel)
-      (Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries)
-  in
-  let simulate backend m k =
-    Vexec.Backend.set_default backend;
-    Fun.protect ~finally:Vexec.Backend.clear_default (fun () ->
-        T.simulate m ~n:2000 k)
-  in
-  List.iter
-    (fun (name, m) ->
-      List.iter
-        (fun (k : Vir.Kernel.t) ->
-          check
-            (Printf.sprintf "%s on %s: interp = closure" k.name name)
-            true
-            (simulate Vexec.Backend.Interp m k = simulate Vexec.Backend.Closure m k))
-        kernels)
-    [ ("neon-a57", mem);
-      ("xeon-avx2", Vmachine.Machines.xeon_avx2.Vmachine.Descr.mem);
-      ("tiny", tiny) ]
-
-(* A plain replay of [T.simulate], kept apart from it: every traced access
-   filters down the levels through [Cache.access] until one hits, with its
-   own access and DRAM counts. *)
-let replay (m : Vmachine.Descr.mem) ~n (k : Vir.Kernel.t) =
+(* A plain replay of [T.simulate] on [backend]'s trace, kept apart from
+   it: every traced access filters down the levels through [Cache.access]
+   until one hits, with its own access and DRAM counts. *)
+let replay ~backend (m : Vmachine.Descr.mem) ~n (k : Vir.Kernel.t) =
   let cfg size_bytes ways = { C.size_bytes; ways; line_bytes = m.line_bytes } in
   let levels =
     List.map C.create
@@ -322,7 +297,7 @@ let replay (m : Vmachine.Descr.mem) ~n (k : Vir.Kernel.t) =
     if not (List.exists (fun c -> C.access c addr) levels) then incr dram
   in
   let env = Vinterp.Env.create ~seed:42 ~n k in
-  let prepared = Vexec.Backend.prepare ~trace (Vexec.Backend.default ()) k in
+  let prepared = Vexec.Backend.prepare ~trace backend k in
   ignore (Vexec.Backend.run_in prepared env);
   List.iter C.reset_stats levels;
   total := 0;
@@ -343,6 +318,28 @@ let replay (m : Vmachine.Descr.mem) ~n (k : Vir.Kernel.t) =
       /. float_of_int (max 1 (Vir.Kernel.total_iterations ~n k));
   }
 
+(* Interpreter and closure traces must give the same stats on every
+   kernel; "simulate matches a plain replay" ties the replay to
+   [T.simulate]. *)
+let test_backends_agree () =
+  let kernels =
+    List.map (fun (e : Tsvc.Registry.entry) -> e.kernel)
+      (Tsvc.Registry.all @ Vapps.Registry.as_tsvc_entries)
+  in
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun (k : Vir.Kernel.t) ->
+          check
+            (Printf.sprintf "%s on %s: interp = closure" k.name name)
+            true
+            (replay ~backend:Vexec.Backend.Interp m ~n:2000 k
+            = replay ~backend:Vexec.Backend.Closure m ~n:2000 k))
+        kernels)
+    [ ("neon-a57", mem);
+      ("xeon-avx2", Vmachine.Machines.xeon_avx2.Vmachine.Descr.mem);
+      ("tiny", tiny) ]
+
 (* The per-slot L1 memo of [T.simulate] must not change a count: every TSVC,
    typed and apps kernel, on both machines, on [tiny], and on [tiny] with a
    single-set L1 of four lines.  There a kernel with five or more streams
@@ -362,7 +359,8 @@ let test_simulate_matches_replay () =
           check
             (Printf.sprintf "%s on %s: simulate = replay" k.name name)
             true
-            (T.simulate m ~n:2000 k = replay m ~n:2000 k))
+            (T.simulate m ~n:2000 k
+            = replay ~backend:(Vexec.Backend.default ()) m ~n:2000 k))
         kernels)
     [ ("neon-a57", mem);
       ("xeon-avx2", Vmachine.Machines.xeon_avx2.Vmachine.Descr.mem);
