@@ -38,8 +38,8 @@ let dead_result (df : Dataflow.t) =
 (* Two loads of the same address with no intervening store to that array
    read the same value: a CSE opportunity that inflates the load counts the
    rated features are built from.  Addresses compare syntactically after
-   canonicalizing operands through earlier merges, mirroring
-   [Simplify.cse]. *)
+   canonicalizing operands through earlier merges, the load rule of
+   [Avail]'s value numbering. *)
 let redundant_load (df : Dataflow.t) =
   let n = Array.length df.body in
   let seen : (Instr.t, int) Hashtbl.t = Hashtbl.create 8 in
